@@ -12,10 +12,10 @@ from riskmono import (
     ModelEnergy,
     mn1ls_profile,
     mn2ls_profile,
-    monotonize_profile,
+    monotonize_curve,
     optimize_onestep_iso,
+    solve_v,
 )
-from riskmono.profiles import profile_point
 
 
 def main():
@@ -33,19 +33,21 @@ def main():
     base = lambda z: mn2ls_profile(z, energy)
 
     gammas = np.exp(np.linspace(math.log(0.1), math.log(10.0), args.points))
+    monotonized = monotonize_curve(gammas, base)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("gamma,mn2ls,mn1ls,monotonized_mn2ls,onestep_optimized,v,tv,tvg\n")
-        for g in gammas:
-            pt = profile_point(g, energy)
+        for g, mono in zip(gammas, monotonized):
+            # fixed-point internals exist on the overparameterized branch only
+            fp = solve_v(g) if g > 1.0 else None
             row = [
                 g,
-                pt.risk,
+                base(g),
                 mn1ls_profile(g, prior, args.sigma2),
-                monotonize_profile(g, base),
+                mono,
                 (optimize_onestep_iso(g, snr).risk + 1.0) * args.sigma2,
-                pt.v,
-                pt.tv,
-                pt.tvg,
+                fp.v if fp else math.nan,
+                fp.tv if fp else math.nan,
+                fp.tvg if fp else math.nan,
             ]
             fh.write(",".join(format(v, ".10g") for v in row) + "\n")
     print(f"wrote {args.out}")

@@ -46,11 +46,11 @@ from .profiles import (
     Mn1lsPrior,
     ModelEnergy,
     OneStepOptimum,
-    ProfilePoint,
     SpectralInputs,
     mn1ls_profile,
     mn2ls_profile,
     mn2ls_profile_isotropic,
+    monotonize_curve,
     monotonize_profile,
     onestep_profile,
     onestep_profile_iterated,

@@ -19,7 +19,7 @@ from .profiles import (
     ModelEnergy,
     mn1ls_profile,
     mn2ls_profile,
-    monotonize_profile,
+    monotonize_curve,
     optimize_onestep_iso,
     snr_star,
     solve_v,
@@ -161,10 +161,8 @@ def _cmd_profile(args) -> int:
         base = lambda z: mn2ls_profile(z, energy)
         analytic = lambda z: (optimize_onestep_iso(z, snr).risk + 1.0) * sigma2
     lines = ["gamma,analytic,monotonized"]
-    for g in gammas:
-        lines.append(
-            f"{g:.12g},{analytic(g):.12g},{monotonize_profile(g, base):.12g}"
-        )
+    for g, mono in zip(gammas, monotonize_curve(gammas, base)):
+        lines.append(f"{g:.12g},{analytic(g):.12g},{mono:.12g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -77,8 +77,10 @@ def cross_validate(
     each risk on the same test split, and return the estimated-risk minimizer.
 
     Ties go to the earliest index in declared order.  A candidate whose fit or
-    risk estimate raises is recorded with an error marker and excluded from
-    selection rather than aborting the run.
+    risk estimate raises a ValueError, ArithmeticError or RuntimeError (which
+    covers the solver, configuration and linear-algebra errors) is recorded
+    with an error marker and excluded from selection rather than aborting the
+    run; any other exception propagates.
     """
     if n_te is None:
         n_te = default_test_size(data.n)
@@ -89,7 +91,7 @@ def cross_validate(
         try:
             pred = family.fitter(xi)(train)
             est = estimate_risk(pred, test, loss, cen)
-        except Exception as exc:  # failed candidates must not abort the run
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
             rows.append(CandidateRow(xi, None, None, f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(CandidateRow(xi, est, pred))

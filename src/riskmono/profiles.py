@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import SolverError
 
@@ -29,19 +30,10 @@ def _norm_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Plain bisection on a sign change; assumes f(lo) and f(hi) differ in sign."""
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-            flo = f(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# Brent root finding (scipy.optimize.brentq) on a sign-change bracket, to the
+# smallest relative tolerance brentq accepts; the absolute tolerance is set per
+# call from the scale of the root.
+_RTOL = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,7 @@ def solve_v(phi: float, H: SpectralInputs = ISOTROPIC) -> FixedPointState:
     in tv and tvg from their defining formulas.
 
     The map is strictly increasing in v, so a geometrically grown bracket plus
-    bisection is robust; the residual is checked to < 1e-12.
+    Brent's method is robust; the residual is checked to < 1e-12.
     """
     if not phi > 1.0:
         raise ValueError(f"fixed point v(0; phi) needs phi > 1, got {phi}")
@@ -182,7 +174,7 @@ def solve_v(phi: float, H: SpectralInputs = ISOTROPIC) -> FixedPointState:
         grow += 1
         if grow > 200:
             raise SolverError(f"failed to bracket v(0; {phi}) below {hi}")
-    v = _bisect(g, lo, hi)
+    v = brentq(g, lo, hi, xtol=1e-24, rtol=_RTOL)
     residual = abs(g(v))
     if residual > 1e-12:
         raise SolverError(f"fixed-point residual {residual:.2e} at phi={phi}")
@@ -230,36 +222,6 @@ def mn2ls_profile_isotropic(phi: float, rho2: float, sigma2: float) -> float:
     if phi < 1.0:
         return sigma2 / (1.0 - phi)
     return rho2 * (1.0 - 1.0 / phi) + sigma2 / (phi - 1.0) + sigma2
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """One analytic-curve sample: aspect ratio, risk, and the fixed-point
-    internals where they exist (overparameterized branch only)."""
-
-    phi: float
-    risk: float
-    v: float = math.nan
-    tv: float = math.nan
-    tvg: float = math.nan
-    upsilon_b: float = math.nan
-
-
-def profile_point(
-    phi: float,
-    energy: ModelEnergy,
-    H: SpectralInputs = ISOTROPIC,
-    G: SpectralInputs = ISOTROPIC,
-    Q: SpectralInputs | None = None,
-) -> ProfilePoint:
-    risk = mn2ls_profile(phi, energy, H, G)
-    if not (1.0 < phi < INF):
-        return ProfilePoint(phi, risk)
-    fp = solve_v(phi, H)
-    ub = math.nan
-    if Q is not None:
-        ub = (1.0 + fp.tvg) * Q.integrate(lambda r: 1.0 / (1.0 + fp.v * r) ** 2)
-    return ProfilePoint(phi, risk, fp.v, fp.tv, fp.tvg, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +314,7 @@ def _solve_alpha(tau: float, prior: Mn1lsPrior, target: float) -> float:
         grow += 1
         if grow > 200:
             raise SolverError(f"failed to bracket alpha at tau={tau}")
-    return _bisect(f, 0.0, hi, 120)
+    return brentq(f, 0.0, hi, xtol=1e-15, rtol=_RTOL)
 
 
 def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
@@ -392,7 +354,7 @@ def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
             raise SolverError(
                 f"failed to bracket tau at phi={phi}: residual {outer(hi):.3e} at tau={hi:.3e}"
             )
-    tau = _bisect(outer, lo, hi, 120)
+    tau = brentq(outer, lo, hi, xtol=1e-15 * math.sqrt(sigma2), rtol=_RTOL)
     res_outer = outer(tau)
     alpha = _solve_alpha(tau, prior, target)
     res_inner = (
@@ -429,7 +391,7 @@ def snr_star() -> float:
         q = math.sqrt(2.0 * rs - 1.0)
         return 1.0 - 1.0 / (2.0 * q) - 1.0 / (2.0 - 1.0 / rs - 1.0 / q)
 
-    return _bisect(f, 1.0 + 1e-9, 100.0, 80)
+    return brentq(f, 1.0 + 1e-9, 100.0, xtol=1e-14, rtol=_RTOL)
 
 
 def _lagrange_candidates(gamma: float, s: float):
@@ -458,13 +420,15 @@ def _lagrange_candidates(gamma: float, s: float):
     if hi <= lo:
         return []
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 4000))
-    vals = [F(z) for z in grid]
+    with np.errstate(divide="ignore"):  # zeta2 rounds to 1 at hi as gamma -> 1
+        vals = [F(z) for z in grid]
     roots = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             roots.append(grid[i])
-        elif (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            roots.append(_bisect(F, grid[i], grid[i + 1], 100))
+        elif (vals[i] > 0.0) != (vals[i + 1] > 0.0) and math.isfinite(vals[i + 1]):
+            # a sign change into +-inf is the zeta2 = 1 pole, not a root
+            roots.append(brentq(F, grid[i], grid[i + 1], xtol=1e-15, rtol=_RTOL))
     return [(z1, zeta2_of(z1)) for z1 in roots]
 
 
@@ -520,7 +484,7 @@ def gamma_star(snr: float) -> float:
     def f(g):
         return g / (1.0 - g) - _overparam_optimum(g, snr)[0]
 
-    return _bisect(f, 1e-6, 1.0 - 1e-9, 100)
+    return brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-15, rtol=_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -528,30 +492,13 @@ def gamma_star(snr: float) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SCAN_POINTS = 400
 
 
-def monotonize_profile(gamma: float, profile, scan_points: int = 400) -> float:
-    """min over zeta in [gamma, inf] of profile(zeta).
-
-    Log-spaced scan from gamma to 1e6 plus an explicit zeta = inf evaluation
-    (the null-risk limit), refined by golden-section search around the best
-    scan point to relative tolerance 1e-6.  +inf profile values are skipped.
-    """
-    if not gamma > 0.0:
-        raise ValueError(f"aspect ratio must be positive, got {gamma}")
-    upper = max(1e6, 10.0 * gamma)
-    zs = np.exp(np.linspace(math.log(gamma), math.log(upper), scan_points))
-    zs[0] = gamma
-    vals = np.array([profile(z) for z in zs])
-    best_inf = profile(INF)
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        return best_inf
-    i = int(np.argmin(np.where(finite, vals, INF)))
-    best = float(vals[i])
-
-    lo = zs[i - 1] if i > 0 else zs[i]
-    hi = zs[i + 1] if i + 1 < len(zs) else zs[i]
+def _golden_min(profile, lo: float, hi: float) -> float:
+    """Golden-section search for min profile(zeta) on [lo, hi] in log zeta, to
+    relative tolerance 1e-6; returns the smaller finite value of the last two
+    probes, or +inf."""
     a, b = math.log(lo), math.log(hi)
     f = lambda t: profile(math.exp(t))
     x1 = b - _GOLDEN * (b - a)
@@ -566,7 +513,56 @@ def monotonize_profile(gamma: float, profile, scan_points: int = 400) -> float:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
-    for cand in (f1, f2, best, best_inf):
-        if math.isfinite(cand) and cand < best:
-            best = cand
-    return min(best, best_inf)
+    return min((v for v in (f1, f2) if math.isfinite(v)), default=INF)
+
+
+def monotonize_curve(gammas, profile) -> list[float]:
+    """min over zeta in [gamma, inf] of profile(zeta), for every gamma in `gammas`.
+
+    One log-spaced scan of SCAN_POINTS points from min(gammas) to
+    max(1e6, 10 max(gammas)), with the gammas inserted, plus one explicit
+    zeta = inf evaluation (the null-risk limit).  Each gamma takes the argmin
+    of the scan at or above it (a suffix minimum, ties to the smallest zeta),
+    refined by golden-section search between that point's scan neighbours;
+    gammas that share a bracket share its refinement.  +inf profile values are
+    skipped.  Results follow the input order; the gammas may be unsorted and
+    repeated.
+    """
+    gammas = [float(g) for g in gammas]
+    if not all(g > 0.0 for g in gammas):
+        raise ValueError(f"aspect ratios must be positive, got {gammas}")
+    if not gammas:
+        return []
+    upper = max(1e6, 10.0 * max(gammas))
+    scan = np.exp(np.linspace(math.log(min(gammas)), math.log(upper), SCAN_POINTS))
+    scan[0] = min(gammas)
+    zs = np.unique(np.concatenate([scan, gammas]))
+    vals = [v if math.isfinite(v) else INF for v in map(profile, zs)]
+    at_inf = profile(INF)
+
+    # argmin[k]: index of the smallest value among zs[k:]
+    argmin = [0] * len(zs)
+    best = len(zs) - 1
+    for k in range(len(zs) - 1, -1, -1):
+        if vals[k] <= vals[best]:
+            best = k
+        argmin[k] = best
+
+    refined: dict[tuple[int, int], float] = {}
+    out = []
+    for g in gammas:
+        k = int(np.searchsorted(zs, g))
+        i = argmin[k]
+        if math.isinf(vals[i]):
+            out.append(at_inf)
+            continue
+        bracket = (max(i - 1, k), min(i + 1, len(zs) - 1))
+        if bracket not in refined:
+            refined[bracket] = _golden_min(profile, zs[bracket[0]], zs[bracket[1]])
+        out.append(min(vals[i], refined[bracket], at_inf))
+    return out
+
+
+def monotonize_profile(gamma: float, profile) -> float:
+    """min over zeta in [gamma, inf] of profile(zeta); see monotonize_curve."""
+    return monotonize_curve([gamma], profile)[0]

@@ -19,7 +19,7 @@ from .profiles import (
     ModelEnergy,
     mn1ls_profile,
     mn2ls_profile,
-    monotonize_profile,
+    monotonize_curve,
     optimize_onestep_iso,
 )
 from .risk_estimation import closed_form_risk, mc_true_risk
@@ -128,10 +128,12 @@ def _replication(cfg: SweepConfig, gi: int, p: int, rep: int):
     return risk, mc, oracle
 
 
-def _analytic_columns(cfg: SweepConfig, gamma: float):
-    """(analytic, monotonized_analytic) for the configured base and model."""
+def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
+    """(analytic, monotonized_analytic) for each gamma of the grid, for the
+    configured base and model; the monotonized column is one curve."""
     model = cfg.model
     sigma2 = model.sigma2
+    grid = cfg.gamma_grid
     if cfg.base.kind == "mn2ls" and model.kind == "dense":
         energy = ModelEnergy(model.rho2, sigma2)
         base_profile = lambda z: mn2ls_profile(z, energy)
@@ -139,18 +141,17 @@ def _analytic_columns(cfg: SweepConfig, gamma: float):
         prior = model.mn1ls_prior()
         base_profile = lambda z: mn1ls_profile(z, prior, sigma2)
     else:
-        return math.nan, math.nan
-    monotonized = monotonize_profile(gamma, base_profile)
+        return [(math.nan, math.nan)] * len(grid)
+    monotonized = monotonize_curve(grid, base_profile)
     if cfg.procedure == "base":
-        analytic = base_profile(gamma)
+        analytic = [base_profile(g) for g in grid]
     elif cfg.procedure == "zero":
         analytic = monotonized
+    elif cfg.base.kind == "mn2ls":
+        analytic = [(optimize_onestep_iso(g, model.snr).risk + 1.0) * sigma2 for g in grid]
     else:
-        if cfg.base.kind == "mn2ls":
-            analytic = (optimize_onestep_iso(gamma, model.snr).risk + 1.0) * sigma2
-        else:
-            analytic = math.nan
-    return analytic, monotonized
+        analytic = [math.nan] * len(grid)
+    return list(zip(analytic, monotonized))
 
 
 def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
@@ -164,7 +165,9 @@ def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
     Besides the CSV_COLUMNS, each row carries `mean_oracle_risk` and
     `se_oracle_risk`: the per-replication best candidate's true risk, which
     splits the selected risk into what the candidate grid reaches and what
-    the split-CV selection adds.  They are not written to the CSV.
+    the split-CV selection adds; and `fail_reasons`, one "TypeName: message"
+    string per failed replication, in replication order.  They are not
+    written to the CSV.
     """
     tasks = []
     for gi, gamma in enumerate(cfg.gamma_grid):
@@ -179,7 +182,9 @@ def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
         gi, p, rep = task
         try:
             return task, _replication(cfg, gi, p, rep)
-        except Exception as exc:
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            # numerical, solver and configuration failures of one cell;
+            # anything else is a programming error and propagates
             return task, exc
 
     if workers > 1 and len(tasks) > 1:
@@ -191,18 +196,20 @@ def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
             results[task] = run_task(task)[1]
 
     rows = []
-    for gi, gamma in enumerate(cfg.gamma_grid):
+    for gi, (gamma, (analytic, monotonized)) in enumerate(
+        zip(cfg.gamma_grid, _analytic_columns(cfg))
+    ):
         p = max(1, round(gamma * cfg.n))
-        risks, mcs, oracles, n_fail = [], [], [], 0
+        risks, mcs, oracles, reasons = [], [], [], []
         for rep in range(cfg.reps):
             outcome = results[(gi, p, rep)]
             if isinstance(outcome, Exception):
-                n_fail += 1
+                reasons.append(f"{type(outcome).__name__}: {outcome}")
             else:
                 risks.append(outcome[0])
                 mcs.append(outcome[1])
                 oracles.append(outcome[2])
-        analytic, monotonized = _analytic_columns(cfg, gamma)
+        n_fail = len(reasons)
         valid = risks and n_fail <= max_failure_rate * cfg.reps
         rows.append(
             {
@@ -217,6 +224,7 @@ def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
                 "analytic": analytic,
                 "monotonized_analytic": monotonized,
                 "n_fail": n_fail,
+                "fail_reasons": tuple(reasons),
                 "mean_oracle_risk": float(np.mean(oracles)) if valid else math.nan,
                 "se_oracle_risk": _std_err(oracles) if valid else math.nan,
             }

@@ -71,3 +71,45 @@ def grid_monotonized_profile(gamma, n, n_te, block, profile):
     p = max(1, round(gamma * n))
     ratios = [p / k for _, k in zero_step_grid(n, n_te, block)] + [math.inf]
     return min(profile(z) for z in ratios)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scan_monotonized_profile(gamma, profile, scan_points=400):
+    """Per-gamma min over zeta in [gamma, inf] of profile(zeta): a log scan of
+    its own from gamma to max(1e6, 10 gamma) plus zeta = inf, refined by
+    golden-section search around the best scan point to relative tolerance
+    1e-6 in log zeta.  +inf values are skipped.  The library's shared-scan
+    `monotonize_curve` must agree with it gamma by gamma."""
+    upper = max(1e6, 10.0 * gamma)
+    zs = np.exp(np.linspace(math.log(gamma), math.log(upper), scan_points))
+    zs[0] = gamma
+    vals = np.array([profile(z) for z in zs])
+    best_inf = profile(math.inf)
+    finite = np.isfinite(vals)
+    if not np.any(finite):
+        return best_inf
+    i = int(np.argmin(np.where(finite, vals, math.inf)))
+    best = float(vals[i])
+
+    lo = zs[i - 1] if i > 0 else zs[i]
+    hi = zs[i + 1] if i + 1 < len(zs) else zs[i]
+    a, b = math.log(lo), math.log(hi)
+    f = lambda t: profile(math.exp(t))
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while (b - a) > 1e-6 * max(1.0, abs(a) + abs(b)):
+        if f1 <= f2 or math.isinf(f2):
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    for cand in (f1, f2, best, best_inf):
+        if math.isfinite(cand) and cand < best:
+            best = cand
+    return min(best, best_inf)

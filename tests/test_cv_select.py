@@ -80,6 +80,21 @@ class TestSelection:
         with pytest.raises(RuntimeError, match="every candidate failed"):
             cross_validate(CandidateFamily(("a",), fitter), data, n_te=2)
 
+    def test_programming_error_propagates(self):
+        # only numerical and solver errors mark a candidate failed
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.standard_normal((8, 2)), rng.standard_normal(8))
+
+        def fitter(xi):
+            if xi == "bug":
+                def boom(train):
+                    raise TypeError("broken fitter")
+                return boom
+            return lambda train: LinearPredictor(np.zeros(2))
+
+        with pytest.raises(TypeError, match="broken fitter"):
+            cross_validate(CandidateFamily(("ok", "bug"), fitter), data, n_te=2)
+
     def test_reproducible(self):
         rng = np.random.default_rng(5)
         data = Dataset(rng.standard_normal((40, 3)), rng.standard_normal(40))

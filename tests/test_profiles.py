@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from riskmono import (
     BaseProcedure,
@@ -16,6 +18,7 @@ from riskmono import (
     mn1ls_profile,
     mn2ls_profile,
     mn2ls_profile_isotropic,
+    monotonize_curve,
     monotonize_profile,
     onestep_profile,
     onestep_profile_iterated,
@@ -25,7 +28,7 @@ from riskmono import (
 )
 from riskmono.profiles import gamma_star
 
-from conftest import grid_monotonized_profile
+from conftest import grid_monotonized_profile, scan_monotonized_profile
 
 INF = math.inf
 
@@ -76,6 +79,13 @@ class TestSolveV:
     def test_limits_at_large_phi(self):
         fp = solve_v(1e8)
         assert fp.v < 1e-6 and fp.tvg < 1e-6
+
+    @pytest.mark.parametrize("phi", [1.0 + 1e-6, 1e8])
+    def test_residual_at_extreme_phi(self, phi):
+        # isotropic: v / (1 + v) = 1 / phi, so v = 1 / (phi - 1)
+        fp = solve_v(phi)
+        assert abs(fp.v / (1.0 + fp.v) - 1.0 / phi) < 1e-12
+        assert fp.v == pytest.approx(1.0 / (phi - 1.0), rel=1e-9)
 
     def test_domain_error(self):
         for phi in (0.5, 1.0):
@@ -194,7 +204,43 @@ def mc_tau_alpha_oracle(phi, prior, sigma2, seed=0):
     return taus2[jt] ** 2
 
 
+def soft_threshold_residuals(phi, prior, sigma2, tau2):
+    """Residuals of the (tau, alpha) system at tau = sqrt(tau2), computed
+    independently of the library: alpha from the exceedance equation with
+    scipy's normal CDF, the threshold MSE by quadrature over Z ~ N(0, 1)."""
+    tau, eps, M = math.sqrt(tau2), prior.epsilon, prior.magnitude
+
+    def exceed(alpha):
+        return sum(
+            w * (ndtr(theta / tau - alpha) + ndtr(-theta / tau - alpha))
+            for theta, w in ((M, eps), (0.0, 1.0 - eps))
+        )
+
+    alpha = brentq(lambda a: exceed(a) - 1.0 / phi, 0.0, 50.0, xtol=1e-15, rtol=8.9e-16)
+    b = alpha * tau
+
+    def mse(theta):
+        def err(z):
+            x = theta + tau * z
+            eta = math.copysign(max(abs(x) - b, 0.0), x)
+            return (eta - theta) ** 2 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        kinks = sorted(((b - theta) / tau, (-b - theta) / tau))
+        return quad(err, -40.0, 40.0, points=kinks, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+
+    outer = sigma2 + eps * mse(M) + (1.0 - eps) * mse(0.0) - tau2
+    return outer, exceed(alpha) - 1.0 / phi
+
+
 class TestMn1lsProfile:
+    @pytest.mark.parametrize("phi", [1.02, 2.0, 1e4, 1e6])
+    def test_system_residuals(self, phi):
+        prior = Mn1lsPrior(0.01, 20.0)
+        tau2 = mn1ls_profile(phi, prior, 1.0)
+        outer, inner = soft_threshold_residuals(phi, prior, 1.0, tau2)
+        assert abs(outer) <= 1e-8 * max(1.0, tau2)
+        assert abs(inner) <= 1e-10
+
     def test_limit_at_infinity(self):
         # sigma^2 + eps M^2 with eps = 0.01, M = 20 -> 5  (Fig-1 style setup)
         assert mn1ls_profile(INF, Mn1lsPrior(0.01, 20.0), 1.0) == 5.0
@@ -361,6 +407,64 @@ class TestMonotonizeProfile:
         gammas = np.linspace(0.1, 6.0, 25)
         vals = [monotonize_profile(g, profile) for g in gammas]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+class TestMonotonizeCurve:
+    """The shared-scan curve against the per-gamma scan oracle, gamma by gamma."""
+
+    GAMMAS = tuple(np.exp(np.linspace(math.log(0.1), math.log(10.0), 15)))
+
+    @staticmethod
+    def assert_matches_oracle(gammas, profile):
+        got = monotonize_curve(gammas, profile)
+        assert len(got) == len(gammas)
+        for g, value in zip(gammas, got):
+            want = scan_monotonized_profile(g, profile)
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), g
+
+    @pytest.mark.parametrize("rho2", [1.0, 4.0])
+    def test_mn2ls(self, rho2):
+        energy = ModelEnergy(rho2, 1.0)
+        self.assert_matches_oracle(self.GAMMAS, lambda z: mn2ls_profile(z, energy))
+
+    def test_mn1ls(self):
+        prior = Mn1lsPrior(0.01, 20.0)
+        self.assert_matches_oracle(
+            (0.5, 1.5, 3.0, 8.0), lambda z: mn1ls_profile(z, prior, 1.0)
+        )
+
+    def test_minimum_at_the_boundary(self):
+        # increasing on [gamma, inf) with a larger null limit: the minimum is
+        # the left end gamma < 1 itself
+        profile = lambda z: 10.0 if math.isinf(z) else 1.0 + z
+        gammas = (0.2, 0.5, 0.9)
+        self.assert_matches_oracle(gammas, profile)
+        assert monotonize_curve(gammas, profile) == [1.2, 1.5, 1.9]
+
+    def test_unsorted_and_repeated_gammas(self):
+        energy = ModelEnergy(4.0, 1.0)
+        profile = lambda z: mn2ls_profile(z, energy)
+        gammas = (3.0, 0.2, 1.5, 0.2, 7.0, 1.5, 0.6)
+        self.assert_matches_oracle(gammas, profile)
+        got = monotonize_curve(gammas, profile)
+        assert got[1] == got[3] and got[2] == got[5]
+
+    def test_all_infinite_profile_returns_value_at_infinity(self):
+        profile = lambda z: 2.5 if math.isinf(z) else INF
+        self.assert_matches_oracle((0.3, 4.0), profile)
+        assert monotonize_curve((0.3, 4.0), profile) == [2.5, 2.5]
+
+    def test_single_gamma_is_monotonize_profile(self):
+        energy = ModelEnergy(4.0, 1.0)
+        profile = lambda z: mn2ls_profile(z, energy)
+        self.assert_matches_oracle((0.631,), profile)
+        assert monotonize_curve([0.631], profile) == [monotonize_profile(0.631, profile)]
+
+    def test_empty_and_invalid(self):
+        assert monotonize_curve([], lambda z: 1.0) == []
+        for bad in ((0.5, 0.0), (-1.0,), (math.nan,)):
+            with pytest.raises(ValueError):
+                monotonize_curve(bad, lambda z: 1.0)
 
 
 class TestGridMonotonizedProfile:

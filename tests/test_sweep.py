@@ -9,7 +9,10 @@ from riskmono import (
     SweepConfig,
     run_sweep,
 )
+from riskmono.profiles import mn1ls_profile
 from riskmono.sweep import CSV_COLUMNS
+
+from conftest import scan_monotonized_profile
 
 
 def small_cfg(**kw):
@@ -127,6 +130,44 @@ class TestRunSweep:
         row = table.rows[0]
         assert row["n_fail"] == 4
         assert math.isnan(row["mean_risk"])
+        reasons = row["fail_reasons"]
+        assert isinstance(reasons, tuple) and len(reasons) == 4
+        assert all(r.startswith("ConfigError: ") and len(r) > 13 for r in reasons)
+
+    def test_no_failures_no_reasons(self):
+        for row in run_sweep(small_cfg(reps=2)).rows:
+            assert row["n_fail"] == 0 and row["fail_reasons"] == ()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_programming_error_propagates(self, monkeypatch, threads):
+        # a TypeError is a bug, not a failed replication
+        def broken_fit(self, data):
+            raise TypeError("broken fitter")
+
+        monkeypatch.setenv("RISKMONO_THREADS", threads)
+        monkeypatch.setattr(BaseProcedure, "fit", broken_fit)
+        with pytest.raises(TypeError, match="broken fitter"):
+            run_sweep(small_cfg(reps=2))
+
+    def test_mn1ls_analytic_columns_match_per_gamma_values(self):
+        # sparse model with the lassoless base: one monotonized curve for the
+        # whole grid, gamma by gamma equal to the per-gamma scan
+        model = DataModel.sparse(1, 0.01, 20.0, 1.0)
+        cfg = small_cfg(
+            n=100,
+            gamma_grid=(2.0, 3.0),
+            reps=1,
+            model=model,
+            procedure="zero",
+            base=BaseProcedure.mn1ls(),
+            mono=MonotonizeConfig(block=20, n_te=10),
+        )
+        prior = model.mn1ls_prior()
+        profile = lambda z: mn1ls_profile(z, prior, 1.0)
+        for row in run_sweep(cfg).rows:
+            want = scan_monotonized_profile(row["gamma"], profile)
+            assert row["monotonized_analytic"] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert row["analytic"] == row["monotonized_analytic"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
