@@ -11,13 +11,10 @@ from .core import (
     InvalidSplitError,
     InvalidSubsampleError,
     LinearPredictor,
-    LossKind,
     SolverError,
-    SplitPlan,
     child_seed,
     draw_disjoint_pair,
     draw_subsample,
-    evaluate_loss,
     split_train_test,
 )
 from .cv_select import CandidateFamily, RiskTable, cross_validate, default_test_size
@@ -42,10 +39,8 @@ from .predictors import (
     fit_ridge,
 )
 from .profiles import (
-    FixedPointState,
     Mn1lsPrior,
     ModelEnergy,
-    OneStepOptimum,
     SpectralInputs,
     mn1ls_profile,
     mn2ls_profile,
@@ -60,10 +55,8 @@ from .profiles import (
 )
 from .risk_estimation import (
     AVG,
-    Avg,
     InfeasibleEtaError,
     Mom,
-    RiskEstimate,
     closed_form_risk,
     delta_diagnostics,
     estimate_risk_avg,
@@ -74,5 +67,3 @@ from .risk_estimation import (
     oracle_inequalities_hold,
 )
 from .sweep import CurveTable, SweepConfig, run_sweep
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ from .profiles import (
     solve_v,
 )
 from .risk_estimation import AVG, Mom, estimate_risk_avg, median_of_means
-from .sweep import SweepConfig, run_sweep
+from .sweep import DEFAULT_NU, SweepConfig, run_sweep
 
 _BASE_ALIASES = {
     "mn2": "mn2ls",
@@ -79,6 +79,14 @@ def parse_base(name: str, lam: float | None) -> BaseProcedure:
     return BaseProcedure(kind)
 
 
+def _monotonize_config(**knobs) -> MonotonizeConfig:
+    """MonotonizeConfig that falls back to the sweep's default nu when neither
+    block nor nu is given; giving both is still a ConfigError."""
+    if knobs.get("block") is None and knobs.get("nu") is None:
+        knobs["nu"] = DEFAULT_NU
+    return MonotonizeConfig(**knobs)
+
+
 def read_config(path) -> dict:
     """Plain-text `key = value` lines; '#' starts a comment."""
     values = {}
@@ -123,7 +131,7 @@ def _config_to_sweep(values: dict, overrides: dict) -> SweepConfig:
         raise ConfigError(f"proc must be base/zero/one, got {proc!r}")
     lam = float(merged["lambda"]) if "lambda" in merged else None
     base = parse_base(merged.get("base", "mn2"), lam)
-    mono = MonotonizeConfig(
+    mono = _monotonize_config(
         M=int(merged.get("m", "1")),
         n_te=int(merged["n_te"]) if "n_te" in merged else None,
         block=int(merged["block"]) if "block" in merged else None,
@@ -183,7 +191,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_monotonize(args) -> int:
     data = Dataset.from_csv(args.data)
     base = parse_base(args.base, args.lam)
-    cfg = MonotonizeConfig(
+    cfg = _monotonize_config(
         M=args.M,
         n_te=args.nte,
         block=args.block,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -111,24 +110,9 @@ class LinearPredictor:
         return X @ self.coefficients
 
 
-class LossKind(Enum):
-    SQUARED_ERROR = "squared_error"
-
-
-def evaluate_loss(kind: LossKind, y: float, yhat: float) -> float:
-    if not (np.isfinite(y) and np.isfinite(yhat)):
-        raise ValueError("loss arguments must be finite")
-    if kind is LossKind.SQUARED_ERROR:
-        return float((y - yhat) ** 2)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def loss_values(kind: LossKind, pred: LinearPredictor, data: Dataset) -> np.ndarray:
-    """Per-row losses of `pred` on `data`, in row order."""
-    yhat = data.features @ pred.coefficients
-    if kind is LossKind.SQUARED_ERROR:
-        return (data.response - yhat) ** 2
-    raise ValueError(f"unknown loss kind {kind!r}")
+def loss_values(pred: LinearPredictor, data: Dataset) -> np.ndarray:
+    """Per-row squared-error losses of `pred` on `data`, in row order."""
+    return (data.response - data.features @ pred.coefficients) ** 2
 
 
 @dataclass(frozen=True)

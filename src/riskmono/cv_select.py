@@ -7,13 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import (
-    Dataset,
-    LinearPredictor,
-    LossKind,
-    child_seed,
-    split_train_test,
-)
+from .core import Dataset, LinearPredictor, child_seed, split_train_test
 from .risk_estimation import AVG, CenteringMethod, RiskEstimate, estimate_risk
 
 
@@ -69,7 +63,6 @@ def cross_validate(
     family: CandidateFamily,
     data: Dataset,
     n_te: int | None = None,
-    loss: LossKind = LossKind.SQUARED_ERROR,
     cen: CenteringMethod = AVG,
     seed: int = 0,
 ):
@@ -90,7 +83,7 @@ def cross_validate(
     for xi in family.indices:
         try:
             pred = family.fitter(xi)(train)
-            est = estimate_risk(pred, test, loss, cen)
+            est = estimate_risk(pred, test, cen)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             rows.append(CandidateRow(xi, None, None, f"{type(exc).__name__}: {exc}"))
             continue

@@ -8,19 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import scipy.linalg
-
-from .core import (
-    Dataset,
-    LinearPredictor,
-    LossKind,
-    child_seed,
-    disjoint_pair_indices,
-    draw_subsample,
-    subsample_indices,
-)
+from .core import Dataset, LinearPredictor, child_seed, disjoint_pair_indices, subsample_indices
 from .cv_select import CandidateFamily, RiskTable, cross_validate, default_test_size
-from .predictors import BaseProcedure, _well_conditioned, fit_mn2ls
+from .predictors import BaseProcedure
 from .risk_estimation import AVG, CenteringMethod
 
 
@@ -108,14 +98,8 @@ def one_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int, int, in
     return grid
 
 
-def average_coefficients(preds: list[LinearPredictor]) -> LinearPredictor:
-    # valid for linear predictors: averaging coefficients == averaging predictions
-    stack = np.stack([p.coefficients for p in preds])
-    return LinearPredictor(stack.mean(axis=0))
-
-
 def bagged_ingredient(
-    base: BaseProcedure, train: Dataset, k: int, M: int, seed: int
+    base: BaseProcedure, train: Dataset, k: int, M: int, seed: int, cache: dict
 ) -> LinearPredictor:
     """Coefficient average of the base fit on M independent size-k subsamples.
 
@@ -123,109 +107,41 @@ def bagged_ingredient(
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    fits = [base.fit(draw_subsample(train, k, child_seed(seed, "bag", j))) for j in range(M)]
-    return average_coefficients(fits)
-
-
-def onestep_ingredient(
-    base: BaseProcedure, d1: Dataset, d2: Dataset | None
-) -> LinearPredictor:
-    """Base fit on d1 plus an MN2LS fit to its residuals on d2.
-
-    An empty (or None) d2 means no adjustment and returns the base fit.
-    """
-    pilot = base.fit(d1)
-    if d2 is None or d2.n == 0:
-        return pilot
-    residuals = d2.response - d2.features @ pilot.coefficients
-    adjust = fit_mn2ls(Dataset(d2.features, residuals))
-    return LinearPredictor(pilot.coefficients + adjust.coefficients)
-
-
-def onestep_ingredient_closed_form(
-    base: BaseProcedure, d1: Dataset, d2: Dataset | None
-) -> LinearPredictor:
-    """Alternate representation (I - S2^+ S2) beta_pilot + mn2ls(d2), used as
-    an independent cross-check of the direct residual construction."""
-    pilot = base.fit(d1)
-    if d2 is None or d2.n == 0:
-        return pilot
-    S2 = d2.features.T @ d2.features / d2.n
-    rcond = 1e-12 * max(d2.n, d2.p)
-    proj = np.linalg.pinv(S2, rcond=rcond) @ S2
-    direct = fit_mn2ls(d2)
-    beta = (np.eye(d2.p) - proj) @ pilot.coefficients + direct.coefficients
-    return LinearPredictor(beta)
-
-
-def _mn2ls_rows(train: Dataset, idx: np.ndarray, cache: dict, response=None):
-    """Ridgeless fit on a row subset of `train`, reusing the train-level row
-    gram across candidates in the overparameterized regime.
-
-    Every candidate of one zero/one-step run subsamples the same training
-    matrix, so X_sub X_sub' is a principal submatrix of one precomputed gram.
-    Falls back to the generic SVD-guarded fit when the submatrix is
-    (near-)singular.  `response` overrides the subset responses (residual fits).
-    """
-    X = train.features
-    y_sub = train.response[idx] if response is None else response
-    k = idx.size
-    if train.p > k:
-        if "row_gram" not in cache:
-            cache["row_gram"] = X @ X.T
-        G = cache["row_gram"][np.ix_(idx, idx)]
-        try:
-            factor = scipy.linalg.cho_factor(G, check_finite=False)
-            if _well_conditioned(factor[0]):
-                w = scipy.linalg.cho_solve(factor, y_sub, check_finite=False)
-                beta = X[idx].T @ w
-                if np.all(np.isfinite(beta)):
-                    return beta
-        except scipy.linalg.LinAlgError:
-            pass
-    return fit_mn2ls(Dataset(X[idx], y_sub)).coefficients
-
-
-def _bagged_mn2ls(train: Dataset, k: int, M: int, seed: int, cache: dict):
     coefs = [
-        _mn2ls_rows(train, subsample_indices(train.n, k, child_seed(seed, "bag", j)), cache)
+        base.fit_rows(train, subsample_indices(train.n, k, child_seed(seed, "bag", j)), cache)
         for j in range(M)
     ]
+    # valid for linear predictors: averaging coefficients == averaging predictions
     return LinearPredictor(np.mean(coefs, axis=0))
 
 
-def _bagged_onestep(
-    base: BaseProcedure,
-    train: Dataset,
-    n1: int,
-    n2: int,
-    M: int,
-    seed: int,
-    cache: dict | None = None,
+def onestep_ingredient(
+    base: BaseProcedure, train: Dataset, idx1: np.ndarray, idx2: np.ndarray, cache: dict
 ) -> LinearPredictor:
-    if cache is None:
-        cache = {}
+    """Base fit on rows idx1 plus an MN2LS fit to its residuals on rows idx2.
+
+    An empty idx2 means no adjustment and returns the base fit.
+    """
+    pilot = base.fit_rows(train, idx1, cache)
+    if idx2.size == 0:
+        return LinearPredictor(pilot)
+    resid = train.response[idx2] - train.features[idx2] @ pilot
+    adjust = BaseProcedure.mn2ls().fit_rows(train, idx2, cache, response=resid)
+    return LinearPredictor(pilot + adjust)
+
+
+def _bagged_onestep(
+    base: BaseProcedure, train: Dataset, n1: int, n2: int, M: int, seed: int, cache: dict
+) -> LinearPredictor:
     coefs = []
     for j in range(M):
         idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, child_seed(seed, "pair", j))
-        if base.kind == "mn2ls":
-            pilot = _mn2ls_rows(train, idx1, cache)
-        else:
-            pilot = base.fit(train.rows(idx1)).coefficients
-        if idx2.size == 0:
-            coefs.append(pilot)
-            continue
-        resid = train.response[idx2] - train.features[idx2] @ pilot
-        adjust = _mn2ls_rows(train, idx2, cache, response=resid)
-        coefs.append(pilot + adjust)
+        coefs.append(onestep_ingredient(base, train, idx1, idx2, cache).coefficients)
     return LinearPredictor(np.mean(coefs, axis=0))
 
 
 def zero_step(
-    data: Dataset,
-    base: BaseProcedure,
-    cfg: MonotonizeConfig,
-    loss: LossKind = LossKind.SQUARED_ERROR,
+    data: Dataset, base: BaseProcedure, cfg: MonotonizeConfig
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over bagged subsample sizes (plus the null
     predictor when configured)."""
@@ -239,20 +155,15 @@ def zero_step(
             return lambda train: BaseProcedure.null().fit(train)
         k = grid[xi]
         seed = child_seed(cfg.seed, "zs", xi)
-        if base.kind == "mn2ls":
-            return lambda train: _bagged_mn2ls(train, k, cfg.M, seed, cache)
-        return lambda train: bagged_ingredient(base, train, k, cfg.M, seed)
+        return lambda train: bagged_ingredient(base, train, k, cfg.M, seed, cache)
 
     indices = tuple(grid) + ((NULL_INDEX,) if cfg.include_null else ())
     family = CandidateFamily(indices, fitter)
-    return cross_validate(family, data, n_te, loss, cfg.cen, cfg.seed)
+    return cross_validate(family, data, n_te, cfg.cen, cfg.seed)
 
 
 def one_step(
-    data: Dataset,
-    base: BaseProcedure,
-    cfg: MonotonizeConfig,
-    loss: LossKind = LossKind.SQUARED_ERROR,
+    data: Dataset, base: BaseProcedure, cfg: MonotonizeConfig
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over disjoint split pairs with the MN2LS
     residual adjustment (xi2 = 0 rows carry no adjustment)."""
@@ -269,13 +180,11 @@ def one_step(
             # no-adjustment rows reuse the zero-step seed path, so the
             # one-step candidate set contains the zero-step ingredients
             seed = child_seed(cfg.seed, "zs", xi[0])
-            if base.kind == "mn2ls":
-                return lambda train: _bagged_mn2ls(train, n1, cfg.M, seed, cache)
-            return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed)
+            return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed, cache)
         return lambda train: _bagged_onestep(
             base, train, n1, n2, cfg.M, child_seed(cfg.seed, "os", *xi), cache
         )
 
     indices = tuple(grid) + ((NULL_INDEX,) if cfg.include_null else ())
     family = CandidateFamily(indices, fitter)
-    return cross_validate(family, data, n_te, loss, cfg.cen, cfg.seed)
+    return cross_validate(family, data, n_te, cfg.cen, cfg.seed)

@@ -38,11 +38,12 @@ def fit_mn2ls(data: Dataset) -> LinearPredictor:
     return LinearPredictor(beta)
 
 
-def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray):
+def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None):
     """Full-rank fast path: solve the gram system on the smaller side.
     Returns None when the system looks (near-)rank-deficient; a rank-deficient
     gram solve can satisfy the normal equations without being min-norm, so the
-    guard is on conditioning, not on the residual."""
+    guard is on conditioning, not on the residual.  `gram` supplies a
+    precomputed row gram X X' for the n < p side."""
     n, p = X.shape
     try:
         if n >= p:
@@ -53,7 +54,7 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray):
                 return None
             beta = scipy.linalg.cho_solve(factor, b, check_finite=False)
         else:
-            G = X @ X.T
+            G = X @ X.T if gram is None else gram
             factor = scipy.linalg.cho_factor(G, check_finite=False)
             if not _well_conditioned(factor[0]):
                 return None
@@ -222,3 +223,25 @@ class BaseProcedure:
         if self.kind == "lasso":
             return fit_lasso(data, self.lam)
         return fit_null(data)
+
+    def fit_rows(
+        self, train: Dataset, idx: np.ndarray, cache: dict, response=None
+    ) -> np.ndarray:
+        """Coefficients of the fit on rows `idx` of `train`.
+
+        `response` overrides the responses of those rows (residual fits).
+        `cache` belongs to one run whose candidates all subsample `train`.
+        For mn2ls with p > len(idx), X_sub X_sub' is a principal submatrix of
+        the cached row gram X X', so the Cholesky fast path starts from it;
+        when that is (near-)singular the generic fit on the subset decides.
+        Every other kind fits on the subset directly.
+        """
+        X = train.features[idx]
+        y = train.response[idx] if response is None else response
+        if self.kind == "mn2ls" and train.p > idx.size:
+            if "row_gram" not in cache:
+                cache["row_gram"] = train.features @ train.features.T
+            beta = _mn2ls_cholesky(X, y, cache["row_gram"][np.ix_(idx, idx)])
+            if beta is not None:
+                return beta
+        return self.fit(Dataset(X, y)).coefficients

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, LinearPredictor, LossKind, loss_values
+from .core import Dataset, LinearPredictor, loss_values
 
 
 class InfeasibleEtaError(ValueError):
@@ -74,36 +74,26 @@ def median_of_means(values: np.ndarray, eta: float) -> float:
     return float((means[B // 2 - 1] + means[B // 2]) / 2.0)
 
 
-def estimate_risk_avg(
-    pred: LinearPredictor, test: Dataset, loss: LossKind = LossKind.SQUARED_ERROR
-) -> RiskEstimate:
+def estimate_risk_avg(pred: LinearPredictor, test: Dataset) -> RiskEstimate:
     if test.n == 0:
         raise ValueError("test set is empty")
-    value = float(np.mean(loss_values(loss, pred, test)))
+    value = float(np.mean(loss_values(pred, test)))
     return RiskEstimate(value, test.n, AVG)
 
 
 def estimate_risk_mom(
-    pred: LinearPredictor,
-    test: Dataset,
-    loss: LossKind = LossKind.SQUARED_ERROR,
-    eta: float = 0.05,
+    pred: LinearPredictor, test: Dataset, eta: float = 0.05
 ) -> RiskEstimate:
     if test.n == 0:
         raise ValueError("test set is empty")
-    value = median_of_means(loss_values(loss, pred, test), eta)
+    value = median_of_means(loss_values(pred, test), eta)
     return RiskEstimate(value, test.n, Mom(eta))
 
 
-def estimate_risk(
-    pred: LinearPredictor,
-    test: Dataset,
-    loss: LossKind,
-    cen: CenteringMethod,
-) -> RiskEstimate:
+def estimate_risk(pred: LinearPredictor, test: Dataset, cen: CenteringMethod) -> RiskEstimate:
     if isinstance(cen, Mom):
-        return estimate_risk_mom(pred, test, loss, cen.eta)
-    return estimate_risk_avg(pred, test, loss)
+        return estimate_risk_mom(pred, test, cen.eta)
+    return estimate_risk_avg(pred, test)
 
 
 def mc_true_risk(
@@ -111,7 +101,6 @@ def mc_true_risk(
     sampler,
     n_mc: int = 10_000,
     seed: int = 0,
-    loss: LossKind = LossKind.SQUARED_ERROR,
 ) -> RiskEstimate:
     """Monte-Carlo conditional risk: average loss over n_mc fresh draws.
 
@@ -121,7 +110,7 @@ def mc_true_risk(
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     fresh = sampler.draw(n_mc, seed)
-    value = float(np.mean(loss_values(loss, pred, fresh)))
+    value = float(np.mean(loss_values(pred, fresh)))
     return RiskEstimate(value, n_mc, AVG)
 
 

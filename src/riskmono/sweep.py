@@ -40,6 +40,9 @@ CSV_COLUMNS = (
 
 PROCEDURES = ("base", "zero", "one")
 
+# block = floor(n^nu) when a run gives neither block nor nu
+DEFAULT_NU = 0.5
+
 
 def worker_count() -> int:
     """Worker cap from RISKMONO_THREADS (default: hardware parallelism)."""
@@ -57,7 +60,7 @@ class SweepConfig:
     model: DataModel  # template; p is overridden per gamma
     procedure: str = "base"
     base: BaseProcedure = field(default_factory=BaseProcedure.mn2ls)
-    mono: MonotonizeConfig = field(default_factory=lambda: MonotonizeConfig(nu=0.5))
+    mono: MonotonizeConfig = field(default_factory=lambda: MonotonizeConfig(nu=DEFAULT_NU))
     n_mc: int = 0
     master_seed: int = 0
 

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from riskmono import Dataset, zero_step_grid
+from riskmono import Dataset, LinearPredictor, fit_mn2ls, zero_step_grid
 
 
 @pytest.fixture
@@ -56,6 +56,29 @@ def l1_vertex_oracle(X, y, feas_tol=1e-9):
             continue
         best = min(best, float(np.sum(np.maximum(sol, 0.0))))
     return best
+
+
+def stack_datasets(d1, d2):
+    """One training matrix holding d1's rows then d2's, plus both index sets."""
+    train = Dataset(
+        np.vstack([d1.features, d2.features]), np.concatenate([d1.response, d2.response])
+    )
+    return train, np.arange(d1.n), np.arange(d1.n, d1.n + d2.n)
+
+
+def onestep_ingredient_closed_form(base, d1, d2):
+    """One-step ingredient as (I - S2^+ S2) beta_pilot + mn2ls(d2), with the
+    pilot fitted on d1; an independent cross-check of the library's direct
+    residual construction.  An empty (or None) d2 returns the pilot."""
+    pilot = base.fit(d1)
+    if d2 is None or d2.n == 0:
+        return pilot
+    S2 = d2.features.T @ d2.features / d2.n
+    rcond = 1e-12 * max(d2.n, d2.p)
+    proj = np.linalg.pinv(S2, rcond=rcond) @ S2
+    direct = fit_mn2ls(d2)
+    beta = (np.eye(d2.p) - proj) @ pilot.coefficients + direct.coefficients
+    return LinearPredictor(beta)
 
 
 def grid_monotonized_profile(gamma, n, n_te, block, profile):

@@ -43,9 +43,14 @@ from riskmono import (
     solve_v,
 )
 from riskmono.cv_select import CandidateFamily
-from riskmono.monotonize import onestep_ingredient_closed_form
 
-from conftest import grid_monotonized_profile, l1_vertex_oracle, random_dataset
+from conftest import (
+    grid_monotonized_profile,
+    l1_vertex_oracle,
+    onestep_ingredient_closed_form,
+    random_dataset,
+    stack_datasets,
+)
 
 N = 400
 REPS = 50
@@ -254,7 +259,7 @@ def test_ac07_one_step_ingredient_equivalence():
         base = BaseProcedure.mn2ls() if i % 4 else BaseProcedure.ridge(0.3)
         d1, _ = random_dataset(rng, n1, p)
         d2, _ = random_dataset(rng, n2, p)
-        direct = onestep_ingredient(base, d1, d2).coefficients
+        direct = onestep_ingredient(base, *stack_datasets(d1, d2), {}).coefficients
         closed = onestep_ingredient_closed_form(base, d1, d2).coefficients
         worst = max(worst, float(np.max(np.abs(direct - closed))))
     elapsed = time.perf_counter() - t0

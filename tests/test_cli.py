@@ -84,6 +84,21 @@ seed = 3
         cfg.write_text("n = 40\n")
         assert main(["simulate", "--config", str(cfg), "--out", "x.csv"]) == 1
 
+    def test_neither_block_nor_nu_uses_default_nu(self, tmp_path):
+        # proc = base needs no block; zero-step falls back to nu = 0.5
+        for proc in ("base", "zero"):
+            cfg = tmp_path / f"{proc}.cfg"
+            cfg.write_text(f"n = 40\ngammas = 0.5,2\nreps = 2\nproc = {proc}\n")
+            out = tmp_path / f"{proc}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 3
+
+    def test_both_block_and_nu_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("n = 40\ngammas = 0.5\nreps = 1\nblock = 6\nnu = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "exactly one of block or nu" in capsys.readouterr().err
+
     def test_config_reader(self, tmp_path):
         cfg = tmp_path / "kv.cfg"
         cfg.write_text("a = 1\n# comment line\nb = two words  # trailing\n")
@@ -106,6 +121,15 @@ class TestMonotonizeCommand:
         out = capsys.readouterr().out
         assert out.count("selected") >= 2  # one marked row + summary line
         assert "# coefficients:" in out
+
+    def test_without_block_uses_default_nu(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((60, 5))
+        path = tmp_path / "d.csv"
+        Dataset(X, X @ np.ones(5) + rng.standard_normal(60)).to_csv(path)
+        rc = main(["monotonize", "--data", str(path), "--proc", "zero", "--base", "mn2"])
+        assert rc == 0
+        assert "# selected index:" in capsys.readouterr().out
 
     def test_missing_data_file(self, capsys):
         rc = main(

@@ -7,13 +7,13 @@ from riskmono import (
     Dataset,
     InvalidSplitError,
     InvalidSubsampleError,
-    LossKind,
+    LinearPredictor,
     child_seed,
     draw_disjoint_pair,
     draw_subsample,
-    evaluate_loss,
     split_train_test,
 )
+from riskmono.core import loss_values
 
 
 def make_data(n, p=3, seed=0):
@@ -134,14 +134,26 @@ class TestDisjointPair:
             draw_disjoint_pair(data, 8, 4, seed=0)
 
 
+def squared_error(y, yhat):
+    # one row with feature 1, so the prediction is the coefficient itself
+    return loss_values(LinearPredictor([yhat]), Dataset([[1.0]], [y]))[0]
+
+
 class TestLoss:
     @pytest.mark.parametrize("y,yhat,want", [(3, 3, 0), (2, 0, 4), (-1, 1, 4)])
     def test_squared_error_values(self, y, yhat, want):
-        assert evaluate_loss(LossKind.SQUARED_ERROR, y, yhat) == want
+        assert squared_error(y, yhat) == want
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_loss(LossKind.SQUARED_ERROR, np.nan, 0.0)
+            squared_error(np.nan, 0.0)
+        with pytest.raises(ValueError):
+            squared_error(0.0, np.inf)
+
+    def test_row_order(self):
+        data = Dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 5.0])
+        losses = loss_values(LinearPredictor([1.0, 2.0]), data)
+        np.testing.assert_array_equal(losses, [0.0, 4.0, 4.0])
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -150,7 +162,7 @@ class TestLoss:
     )
     def test_nonnegative_zero_iff_equal(self, y, delta):
         yhat = y + delta  # offsets this size square without underflow
-        loss = evaluate_loss(LossKind.SQUARED_ERROR, y, yhat)
+        loss = squared_error(y, yhat)
         assert loss >= 0
         assert (loss == 0) == (y == yhat)
 

@@ -13,12 +13,14 @@ from riskmono import (
     one_step,
     one_step_grid,
     onestep_ingredient,
+    split_train_test,
     zero_step,
     zero_step_grid,
 )
-from riskmono.monotonize import NULL_INDEX, onestep_ingredient_closed_form
+from riskmono.core import disjoint_pair_indices, draw_subsample, subsample_indices
+from riskmono.monotonize import NULL_INDEX
 
-from conftest import random_dataset
+from conftest import onestep_ingredient_closed_form, random_dataset, stack_datasets
 
 
 class TestGrids:
@@ -87,16 +89,14 @@ class TestBaggedIngredient:
     def test_single_draw_equals_plain_fit(self, rng):
         data, _ = random_dataset(rng, 20, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 12, M=1, seed=5)
-        from riskmono.core import draw_subsample
-
+        bag = bagged_ingredient(base, data, 12, M=1, seed=5, cache={})
         sub = draw_subsample(data, 12, child_seed(5, "bag", 0))
         np.testing.assert_array_equal(bag.coefficients, base.fit(sub).coefficients)
 
     def test_full_size_subsample_is_degenerate(self, rng):
         data, _ = random_dataset(rng, 15, 3)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, data.n, M=4, seed=6)
+        bag = bagged_ingredient(base, data, data.n, M=4, seed=6, cache={})
         np.testing.assert_allclose(
             bag.coefficients, base.fit(data).coefficients, atol=1e-12
         )
@@ -104,9 +104,7 @@ class TestBaggedIngredient:
     def test_two_draws_average_exactly(self, rng):
         data, _ = random_dataset(rng, 25, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 15, M=2, seed=7)
-        from riskmono.core import draw_subsample
-
+        bag = bagged_ingredient(base, data, 15, M=2, seed=7, cache={})
         parts = [
             base.fit(draw_subsample(data, 15, child_seed(7, "bag", j))).coefficients
             for j in (0, 1)
@@ -118,7 +116,7 @@ class TestOnestepIngredient:
     def test_empty_second_set_returns_base_fit(self, rng):
         data, _ = random_dataset(rng, 10, 3)
         base = BaseProcedure.mn2ls()
-        out = onestep_ingredient(base, data, None)
+        out = onestep_ingredient(base, data, np.arange(10), np.arange(0), {})
         np.testing.assert_array_equal(out.coefficients, base.fit(data).coefficients)
 
     def test_zero_residuals_mean_zero_adjustment(self, rng):
@@ -127,7 +125,7 @@ class TestOnestepIngredient:
         X2 = rng.standard_normal((4, 5))
         d1 = Dataset(np.eye(5), beta0)  # mn2ls recovers beta0 exactly
         d2 = Dataset(X2, X2 @ beta0)
-        out = onestep_ingredient(BaseProcedure.mn2ls(), d1, d2)
+        out = onestep_ingredient(BaseProcedure.mn2ls(), *stack_datasets(d1, d2), {})
         np.testing.assert_allclose(out.coefficients, beta0, atol=1e-9)
 
     def test_matches_closed_form_representation(self, rng):
@@ -138,7 +136,7 @@ class TestOnestepIngredient:
             p = int(rng.integers(2, 25))
             d1, _ = random_dataset(rng, n1, p)
             d2, _ = random_dataset(rng, n2, p)
-            direct = onestep_ingredient(base, d1, d2).coefficients
+            direct = onestep_ingredient(base, *stack_datasets(d1, d2), {}).coefficients
             closed = onestep_ingredient_closed_form(base, d1, d2).coefficients
             assert np.max(np.abs(direct - closed)) < 1e-8
 
@@ -199,3 +197,78 @@ class TestOneStep:
         t1, _ = one_step(data, BaseProcedure.mn2ls(), cfg)
         t2, _ = one_step(data, BaseProcedure.mn2ls(), cfg)
         assert t1.estimates() == t2.estimates()
+
+
+def _cv_train(data, cfg):
+    """The training split cross_validate fits every candidate on."""
+    train, _, _ = split_train_test(data, cfg.n_te, child_seed(cfg.seed, "cv-split"))
+    return train
+
+
+def _bagged_by_hand(base, train, k, M, seed):
+    # zero-step ingredient: base.fit on M subsamples under child seeds "bag"
+    return np.mean(
+        [
+            base.fit(train.rows(subsample_indices(train.n, k, child_seed(seed, "bag", j))))
+            .coefficients
+            for j in range(M)
+        ],
+        axis=0,
+    )
+
+
+def _onestep_by_hand(base, train, n1, n2, M, seed):
+    # one-step ingredient: base.fit on the first set of each disjoint pair
+    # (child seeds "pair"); the ridgeless residual fit is mn2ls's own route
+    coefs = []
+    for j in range(M):
+        idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, child_seed(seed, "pair", j))
+        pilot = base.fit(train.rows(idx1)).coefficients
+        resid = train.response[idx2] - train.features[idx2] @ pilot
+        coefs.append(pilot + BaseProcedure.mn2ls().fit_rows(train, idx2, {}, response=resid))
+    return np.mean(coefs, axis=0)
+
+
+class TestGenericBase:
+    """zero_step / one_step with a base other than mn2ls fit each candidate
+    with base.fit on the rows the documented child seeds select."""
+
+    BASES = (BaseProcedure.ridge(0.3), BaseProcedure.null())
+
+    @pytest.mark.parametrize("p", [12, 90])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("base", BASES, ids=lambda b: b.kind)
+    def test_zero_step_equals_hand_built_average(self, rng, base, M, p):
+        data, _ = random_dataset(rng, 70, p)
+        cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=21)
+        table, _ = zero_step(data, base, cfg)
+        train = _cv_train(data, cfg)
+        grid = dict(zero_step_grid(data.n, cfg.n_te, cfg.block))
+        for row in table.rows:
+            if row.index == NULL_INDEX:
+                continue
+            want = _bagged_by_hand(
+                base, train, grid[row.index], M, child_seed(cfg.seed, "zs", row.index)
+            )
+            np.testing.assert_array_equal(row.predictor.coefficients, want)
+
+    @pytest.mark.parametrize("p", [12, 90])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("base", BASES, ids=lambda b: b.kind)
+    def test_one_step_equals_hand_built_average(self, rng, base, M, p):
+        data, _ = random_dataset(rng, 70, p)
+        cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=22)
+        table, _ = one_step(data, base, cfg)
+        train = _cv_train(data, cfg)
+        grid = {(a, b): (n1, n2) for a, b, n1, n2 in one_step_grid(data.n, cfg.n_te, cfg.block)}
+        for row in table.rows:
+            if row.index == NULL_INDEX:
+                continue
+            (xi1, xi2), (n1, n2) = row.index, grid[row.index]
+            if xi2 == 0:
+                want = _bagged_by_hand(base, train, n1, M, child_seed(cfg.seed, "zs", xi1))
+            else:
+                want = _onestep_by_hand(
+                    base, train, n1, n2, M, child_seed(cfg.seed, "os", xi1, xi2)
+                )
+            np.testing.assert_array_equal(row.predictor.coefficients, want)

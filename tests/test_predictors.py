@@ -14,6 +14,7 @@ from riskmono import (
     fit_mn2ls,
     fit_null,
     fit_ridge,
+    predictors,
 )
 
 from conftest import (
@@ -226,3 +227,50 @@ class TestNullAndDispatch:
             BaseProcedure("ridge")
         with pytest.raises(ValueError):
             BaseProcedure("mn2ls", 0.1)
+
+
+class TestFitRows:
+    def test_mn2ls_matches_generic_fit_on_rows(self, rng, monkeypatch):
+        # n = 45 rows, p = 40; row 44 repeats row 3, so any subset holding
+        # both has a singular row gram and must fall back to the generic fit
+        X = rng.standard_normal((45, 40))
+        X[44] = X[3]
+        train = Dataset(X, rng.standard_normal(45))
+        base = BaseProcedure.mn2ls()
+        cache = {}
+        calls = []
+        monkeypatch.setattr(
+            predictors, "fit_mn2ls", lambda data: calls.append(data.n) or fit_mn2ls(data)
+        )
+        clean = np.setdiff1d(np.arange(45), [44])
+        subsets = [
+            np.sort(rng.choice(clean, 20, replace=False)),  # p > k: row gram
+            clean[:39],  # p > k, just below p: row gram
+            np.union1d(clean[:38], [44]),  # 39 rows with a repeat: fallback
+            np.arange(45),  # p < k: generic fit
+        ]
+        for idx in subsets:
+            want = fit_mn2ls(train.rows(idx)).coefficients
+            got = base.fit_rows(train, idx, cache)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert calls == [39, 45]
+        assert cache["row_gram"].shape == (45, 45)
+
+    def test_response_override(self, rng):
+        train, _ = random_dataset(rng, 30, 50)
+        idx = np.arange(5, 25)
+        resid = rng.standard_normal(idx.size)
+        got = BaseProcedure.mn2ls().fit_rows(train, idx, {}, response=resid)
+        want = fit_mn2ls(Dataset(train.features[idx], resid)).coefficients
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "base", [BaseProcedure.ridge(0.3), BaseProcedure.null(), BaseProcedure.mn1ls()]
+    )
+    def test_other_kinds_fit_the_subset(self, rng, base):
+        train, _ = random_dataset(rng, 20, 30)
+        idx = np.array([0, 2, 3, 7, 11, 19])
+        cache = {}
+        got = base.fit_rows(train, idx, cache)
+        np.testing.assert_array_equal(got, base.fit(train.rows(idx)).coefficients)
+        assert cache == {}
