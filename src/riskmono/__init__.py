@@ -13,8 +13,6 @@ from .core import (
     LinearPredictor,
     SolverError,
     child_seed,
-    draw_disjoint_pair,
-    draw_subsample,
     split_train_test,
 )
 from .cv_select import CandidateFamily, RiskTable, cross_validate, default_test_size
@@ -31,7 +29,6 @@ from .monotonize import (
 )
 from .predictors import (
     BaseProcedure,
-    ConvergenceWarning,
     fit_lasso,
     fit_mn1ls,
     fit_mn2ls,

@@ -72,11 +72,7 @@ def parse_base(name: str, lam: float | None) -> BaseProcedure:
     kind = _BASE_ALIASES.get(name.strip().lower())
     if kind is None:
         raise ConfigError(f"unknown base procedure {name!r}")
-    if kind in ("ridge", "lasso"):
-        if lam is None:
-            raise ConfigError(f"{kind} needs --lam / lambda")
-        return BaseProcedure(kind, lam)
-    return BaseProcedure(kind)
+    return BaseProcedure(kind, lam)  # ValueError unless ridge/lasso get lam > 0
 
 
 def _monotonize_config(**knobs) -> MonotonizeConfig:
@@ -107,49 +103,49 @@ def _config_to_sweep(values: dict, overrides: dict) -> SweepConfig:
     for key, val in overrides.items():
         if val is not None:
             merged[key] = str(val)
+    unread = set(merged)
 
-    def need(key):
+    def get(key, cast=str, default=None):
+        unread.discard(key)
+        return cast(merged[key]) if key in merged else default
+
+    def need(key, cast=str):
         if key not in merged:
             raise ConfigError(f"config is missing '{key}'")
-        return merged[key]
+        return get(key, cast)
 
-    n = int(need("n"))
-    gammas = parse_gamma_grid(need("gammas"))
-    reps = int(need("reps"))
-    sigma2 = float(merged.get("sigma2", "1"))
-    model_kind = merged.get("model", "dense").lower()
+    sigma2 = get("sigma2", float, 1.0)
+    model_kind = get("model", default="dense").lower()
     if model_kind == "dense":
-        model = DataModel.dense(1, float(merged.get("rho2", "1")), sigma2)
+        model = DataModel.dense(1, get("rho2", float, 1.0), sigma2)
     elif model_kind == "sparse":
-        model = DataModel.sparse(
-            1, float(need("epsilon")), float(need("magnitude")), sigma2
-        )
+        model = DataModel.sparse(1, need("epsilon", float), need("magnitude", float), sigma2)
     else:
         raise ConfigError(f"model must be dense or sparse, got {model_kind!r}")
-    proc = merged.get("proc", "base").lower()
+    proc = get("proc", default="base").lower()
     if proc not in ("base", "zero", "one"):
         raise ConfigError(f"proc must be base/zero/one, got {proc!r}")
-    lam = float(merged["lambda"]) if "lambda" in merged else None
-    base = parse_base(merged.get("base", "mn2"), lam)
-    mono = _monotonize_config(
-        M=int(merged.get("m", "1")),
-        n_te=int(merged["n_te"]) if "n_te" in merged else None,
-        block=int(merged["block"]) if "block" in merged else None,
-        nu=float(merged["nu"]) if "nu" in merged else None,
-        cen=parse_centering(merged.get("cen", "avg")),
-        include_null=merged.get("include_null", "true").lower() in ("1", "true", "yes"),
-    )
-    return SweepConfig(
-        n=n,
-        gamma_grid=gammas,
-        reps=reps,
+    cfg = SweepConfig(
+        n=need("n", int),
+        gamma_grid=need("gammas", parse_gamma_grid),
+        reps=need("reps", int),
         model=model,
         procedure=proc,
-        base=base,
-        mono=mono,
-        n_mc=int(merged.get("n_mc", "0")),
-        master_seed=int(merged.get("seed", "0")),
+        base=parse_base(get("base", default="mn2"), get("lambda", float)),
+        mono=_monotonize_config(
+            M=get("m", int, 1),
+            n_te=get("n_te", int),
+            block=get("block", int),
+            nu=get("nu", float),
+            cen=parse_centering(get("cen", default="avg")),
+            include_null=get("include_null", default="true").lower() in ("1", "true", "yes"),
+        ),
+        n_mc=get("n_mc", int, 0),
+        master_seed=get("seed", int, 0),
     )
+    if unread:
+        raise ConfigError(f"config keys not used: {', '.join(sorted(unread))}")
+    return cfg
 
 
 def _cmd_profile(args) -> int:

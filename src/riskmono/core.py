@@ -150,11 +150,6 @@ def subsample_indices(n: int, k: int, seed: int) -> np.ndarray:
     return np.sort(rng_from(seed).choice(n, size=k, replace=False))
 
 
-def draw_subsample(data: Dataset, k: int, seed: int) -> Dataset:
-    """Uniformly random size-k row subset, without replacement within the draw."""
-    return data.rows(subsample_indices(data.n, k, seed))
-
-
 def disjoint_pair_indices(n: int, k1: int, k2: int, seed: int):
     if k1 < 1 or k2 < 0 or k1 + k2 > n:
         raise InvalidSubsampleError(
@@ -162,9 +157,3 @@ def disjoint_pair_indices(n: int, k1: int, k2: int, seed: int):
         )
     perm = rng_from(seed).permutation(n)
     return np.sort(perm[:k1]), np.sort(perm[k1 : k1 + k2])
-
-
-def draw_disjoint_pair(data: Dataset, k1: int, k2: int, seed: int):
-    """Two row-disjoint uniform subsets of sizes k1 and k2 (k2 may be 0)."""
-    first, second = disjoint_pair_indices(data.n, k1, k2, seed)
-    return data.rows(first), data.rows(second)

@@ -3,23 +3,18 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 from .core import Dataset, LinearPredictor, SolverError
 
 # pseudoinverse rank cutoff: singular values <= RTOL_SCALE*max(n,p)*s_max drop
 RTOL_SCALE = 1e-12
-
-LP_FEAS_TOL = 1e-9
-
-
-class ConvergenceWarning(UserWarning):
-    pass
+# lasso homotopy, relative to lam_max: knot ties, and the optimality residual
+# beyond which a fit is a SolverError
+TIE_RTOL, KKT_RTOL = 1e-10, 1e-6
 
 
 def fit_mn2ls(data: Dataset) -> LinearPredictor:
@@ -89,86 +84,111 @@ def fit_ridge(data: Dataset, lam: float) -> LinearPredictor:
     return LinearPredictor(beta)
 
 
-def fit_lasso(
-    data: Dataset,
-    lam: float,
-    tol: float = 1e-10,
-    max_sweeps: int = 100_000,
-) -> LinearPredictor:
-    """Lasso by cyclic coordinate descent with soft-threshold updates.
-
-    Minimizes (1/2m) ||Y - X beta||^2 + lam ||beta||_1.  Stops when the max
-    coordinate change in a sweep is below `tol`.
-    """
+def fit_lasso(data: Dataset, lam: float) -> LinearPredictor:
+    """Lasso: minimizes (1/2m) ||Y - X beta||^2 + lam ||beta||_1, by the
+    homotopy on the rank-reduced rows."""
     if lam <= 0:
         raise ValueError(f"lasso penalty must be positive, got {lam}")
-    X, y, m = data.features, data.response, data.n
-    p = data.p
-    col_sq = (X * X).sum(axis=0) / m
-    beta = np.zeros(p)
-    resid = y.copy()
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
-            old = beta[j]
-            rho = X[:, j] @ resid / m + col_sq[j] * old
-            new = _soft(rho, lam) / col_sq[j]
-            if new != old:
-                resid -= (new - old) * X[:, j]
-                beta[j] = new
-                delta = max(delta, abs(new - old))
-        if delta < tol:
-            break
-    else:
-        warnings.warn(
-            f"lasso coordinate descent hit {max_sweeps} sweeps "
-            f"(last max coordinate change {delta:.3e})",
-            ConvergenceWarning,
-        )
-    return LinearPredictor(beta)
-
-
-def _soft(x: float, thresh: float) -> float:
-    if x > thresh:
-        return x - thresh
-    if x < -thresh:
-        return x + thresh
-    return 0.0
+    X, y = _row_reduce(data.features, data.response)
+    return LinearPredictor(_lasso_homotopy(X, y, lam, data.n))
 
 
 def fit_mn1ls(data: Dataset) -> LinearPredictor:
     """Minimum l1-norm element of the least-squares solution set.
 
-    Full column rank: the unique OLS solution.  Otherwise minimize ||beta||_1
-    subject to X beta = yhat (yhat = projection of Y onto col(X)) as a linear
-    program in the beta = beta+ - beta- split.
+    Full column rank: the unique OLS solution.  Otherwise the end lam -> 0+
+    of the lasso path, which is the min-l1 least-squares solution
+    (Tibshirani 2013, "The lasso problem and uniqueness").
     """
-    X, y = data.features, data.response
-    n, p = data.n, data.p
-    rcond = RTOL_SCALE * max(n, p)
-    ls, _, rank, _ = np.linalg.lstsq(X, y, rcond=rcond)
-    if rank == p:
-        return LinearPredictor(ls)
-    yhat = X @ ls  # projection onto the column space; equals y when rank = n
-    res = linprog(
-        c=np.ones(2 * p),
-        A_eq=np.hstack([X, -X]),
-        b_eq=yhat,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": LP_FEAS_TOL,
-            "dual_feasibility_tolerance": LP_FEAS_TOL,
-        },
-    )
-    if not res.success:
-        raise SolverError(
-            f"min-l1 LP failed: {res.message} (status {res.status}, {res.nit} iterations)"
-        )
-    beta = res.x[:p] - res.x[p:]
-    return LinearPredictor(beta)
+    X, y = _row_reduce(data.features, data.response)
+    if X.shape[0] == data.p:
+        return LinearPredictor(np.linalg.solve(X, y))
+    return LinearPredictor(_lasso_homotopy(X, y, 0.0, data.n))
+
+
+def _row_reduce(X: np.ndarray, y: np.ndarray):
+    """Rows (S_r V_r', U_r' y) of the SVD of X cut at the rank cutoff.  They
+    keep X'X and X'y, so least-squares minimizers stay, and the homotopy sees
+    full row rank however many rows repeat."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(s > RTOL_SCALE * max(X.shape) * s[0]))
+    return s[:r, None] * Vt[:r], U[:, :r].T @ y
+
+
+def _lasso_homotopy(X: np.ndarray, y: np.ndarray, lam: float, m: int) -> np.ndarray:
+    """Minimizer of (1/2m) ||y - X beta||^2 + lam ||beta||_1 (lam >= 0) along
+    the lasso path down from lam_max (LARS with lasso drops; Efron, Hastie,
+    Johnstone & Tibshirani 2004).  X must have full row rank.
+
+    With active set A and signs s, beta_A(t) = u - t d, G_AA u = c_A and
+    G_AA d = s (G = X'X/m, c = X'y/m), and the correlations X'(y - X beta)/m
+    run along e + t a.  A segment ends where an inactive correlation crosses
+    +-t outwards (join), an active coefficient shrinks to 0 (leave), or at
+    lam.  Knots up to TIE_RTOL * lam_max above t are ties, taken at t.  Only
+    crossings in those directions count, so the knot just passed, which
+    recurs at t for the variable that changed and for copies of its column,
+    is not taken again.  A column with |e_j| at the rank cutoff is in the
+    span of A and never joins.  Of G only the columns G[:, A] are formed.
+    """
+    r, p = X.shape
+    c = X.T @ y / m
+    lam_max = float(np.max(np.abs(c)))
+    beta = np.zeros(p)
+    if lam >= lam_max:
+        return beta
+    t, tie, floor = lam_max, TIE_RTOL * lam_max, RTOL_SCALE * max(r, p) * lam_max
+    signs, active = np.zeros(p), []
+    gram = np.empty((p, r), order="F")  # gram[:, i] = G[:, active[i]]
+    j = int(np.argmax(np.abs(c)))
+    row = 0 if c[j] > 0 else 1
+    max_knots = 8 * r  # paths to lam = 0 take 1.3-1.8 knots per rank
+    for _ in range(max_knots):
+        if row == 2:  # j leaves, and the last active column takes its slot
+            i = active.index(j)
+            gram[:, i], active[i] = gram[:, len(active) - 1], active[-1]
+            active.pop()
+        elif len(active) < r:
+            gram[:, len(active)] = X.T @ X[:, j] / m
+            active.append(j)
+        else:
+            raise SolverError(f"lasso homotopy: more than {r} active variables")
+        signs[j] = (1.0, -1.0, 0.0)[row]
+        A = np.array(active)
+        try:
+            factor = scipy.linalg.cho_factor(gram[A, : A.size], check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverError(f"lasso homotopy: singular active gram ({A.size} active)") from exc
+        ud = scipy.linalg.cho_solve(factor, np.column_stack([c[A], signs[A]]), check_finite=False)
+        u, d = ud.T
+        e, a = c - gram[:, : A.size] @ u, gram[:, : A.size] @ d
+        free = (signs == 0) & (np.abs(e) > floor)
+        up, down, shrink = free & (a < 1.0), free & (a > -1.0), signs[A] * d < 0.0
+        knots = np.full((3, p), -np.inf)
+        knots[0, up] = e[up] / (1.0 - a[up])  # joins at +t
+        knots[1, down] = -e[down] / (1.0 + a[down])  # joins at -t
+        knots[2, A[shrink]] = u[shrink] / d[shrink]  # leaves
+        knots[(knots <= lam + tie) | (knots > t + tie)] = -np.inf
+        k = int(np.argmax(knots))
+        if knots.flat[k] == -np.inf:
+            # a coefficient against its path sign is rounding at a knot by lam
+            beta[A] = np.where(signs[A] * (u - lam * d) > 0.0, u - lam * d, 0.0)
+            _check_optimal(X, y, beta, lam, m, a, lam_max)
+            return beta
+        t = min(float(knots.flat[k]), t)
+        row, j = divmod(k, p)
+    raise SolverError(f"lasso homotopy passed {max_knots} knots")
+
+
+def _check_optimal(X, y, beta, lam, m, a, lam_max):
+    """SolverError unless beta meets the lasso optimality conditions at lam to
+    KKT_RTOL * lam_max.  At lam = 0 the last segment's a must also certify the
+    minimal l1 norm: |a| <= 1, and a = sign(beta) on the support."""
+    g, s = X.T @ (y - X @ beta) / m, np.sign(beta)
+    viol = np.where(s != 0, np.abs(g - lam * s), np.abs(g) - lam) / lam_max
+    if lam == 0.0:
+        viol = np.maximum(viol, np.where(s != 0, np.abs(a - s), np.abs(a) - 1.0))
+    if not viol.max() <= KKT_RTOL:
+        raise SolverError(f"lasso homotopy: optimality residual {viol.max():.3g}")
 
 
 def fit_null(data: Dataset) -> LinearPredictor:

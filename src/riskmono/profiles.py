@@ -63,12 +63,6 @@ class SpectralInputs:
     def point_mass(cls, r: float = 1.0) -> "SpectralInputs":
         return cls(((r, 1.0),))
 
-    @classmethod
-    def from_eigenvalues(cls, values) -> "SpectralInputs":
-        values = np.asarray(values, dtype=np.float64)
-        w = 1.0 / values.size
-        return cls(tuple((float(v), w) for v in values))
-
     def integrate(self, f) -> float:
         return sum(w * f(r) for r, w in self.atoms)
 

@@ -42,6 +42,8 @@ PROCEDURES = ("base", "zero", "one")
 
 # block = floor(n^nu) when a run gives neither block nor nu
 DEFAULT_NU = 0.5
+# a grid point with a larger share of failed replications gets NaN means
+MAX_FAILURE_RATE = 0.2
 
 
 def worker_count() -> int:
@@ -157,11 +159,11 @@ def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
     return list(zip(analytic, monotonized))
 
 
-def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
+def run_sweep(cfg: SweepConfig) -> CurveTable:
     """Run the configured procedure across the gamma grid.
 
     Per-replication failures are recorded and the run continues; a grid point
-    with more than `max_failure_rate` failures is marked invalid (NaN means).
+    where more than MAX_FAILURE_RATE of the replications fail gets NaN means.
     Output is deterministic in (config, master_seed) regardless of the worker
     count because every cell derives its own seed.
 
@@ -213,7 +215,7 @@ def run_sweep(cfg: SweepConfig, max_failure_rate: float = 0.2) -> CurveTable:
                 mcs.append(outcome[1])
                 oracles.append(outcome[2])
         n_fail = len(reasons)
-        valid = risks and n_fail <= max_failure_rate * cfg.reps
+        valid = risks and n_fail <= MAX_FAILURE_RATE * cfg.reps
         rows.append(
             {
                 "gamma": gamma,

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from riskmono import Dataset, LinearPredictor, fit_mn2ls, zero_step_grid
 
@@ -56,6 +57,25 @@ def l1_vertex_oracle(X, y, feas_tol=1e-9):
             continue
         best = min(best, float(np.sum(np.maximum(sol, 0.0))))
     return best
+
+
+def l1_lp_oracle(X, y, feas_tol=1e-9):
+    """Minimum l1-norm least-squares coefficients by HiGHS: minimize
+    ||b||_1 s.t. X b = yhat, yhat the projection of y onto col(X), as a
+    linear program in the b = b+ - b- split.  Unlike l1_vertex_oracle it
+    needs neither full row rank nor a small p."""
+    n, p = X.shape
+    ls, *_ = np.linalg.lstsq(X, y, rcond=1e-12 * max(n, p))
+    res = linprog(
+        c=np.ones(2 * p),
+        A_eq=np.hstack([X, -X]),
+        b_eq=X @ ls,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": feas_tol, "dual_feasibility_tolerance": feas_tol},
+    )
+    assert res.success, res.message
+    return res.x[:p] - res.x[p:]
 
 
 def stack_datasets(d1, d2):

@@ -99,6 +99,26 @@ seed = 3
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert "exactly one of block or nu" in capsys.readouterr().err
 
+    def test_unused_keys_are_config_error(self, tmp_path, capsys):
+        # misspelt block and rho2 must not fall back to their defaults
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 60\ngammas = 0.5\nreps = 1\nproc = zero\nblok = 8\nrho = 9\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "blok" in err and "rho" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "base, lam, message",
+        [("mn2", "lambda = 0.5\n", "takes no penalty"), ("lasso", "", "needs a positive penalty")],
+    )
+    def test_penalty_must_match_base(self, tmp_path, capsys, base, lam, message):
+        cfg = tmp_path / "pen.cfg"
+        cfg.write_text(f"n = 40\ngammas = 0.5,2\nreps = 2\nbase = {base}\n{lam}")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_config_reader(self, tmp_path):
         cfg = tmp_path / "kv.cfg"
         cfg.write_text("a = 1\n# comment line\nb = two words  # trailing\n")

@@ -9,11 +9,9 @@ from riskmono import (
     InvalidSubsampleError,
     LinearPredictor,
     child_seed,
-    draw_disjoint_pair,
-    draw_subsample,
     split_train_test,
 )
-from riskmono.core import loss_values
+from riskmono.core import disjoint_pair_indices, loss_values, subsample_indices
 
 
 def make_data(n, p=3, seed=0):
@@ -86,21 +84,20 @@ class TestSplit:
 class TestSubsample:
     def test_k_equals_n_returns_whole_dataset(self):
         data = make_data(8)
-        sub = draw_subsample(data, 8, seed=3)
+        sub = data.rows(subsample_indices(8, 8, seed=3))
         np.testing.assert_array_equal(sub.features, data.features)
         np.testing.assert_array_equal(sub.response, data.response)
 
     def test_determinism(self):
         data = make_data(8)
-        a = draw_subsample(data, 3, seed=1)
-        b = draw_subsample(data, 3, seed=1)
+        a = data.rows(subsample_indices(8, 3, seed=1))
+        b = data.rows(subsample_indices(8, 3, seed=1))
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_out_of_range_rejected(self):
-        data = make_data(8)
         for k in (0, 9):
             with pytest.raises(InvalidSubsampleError):
-                draw_subsample(data, k, seed=0)
+                subsample_indices(8, k, seed=0)
 
     def test_row_frequencies_uniform(self):
         # each row should appear with frequency k/n up to a 3-sigma binomial band
@@ -108,7 +105,7 @@ class TestSubsample:
         data = make_data(n)
         counts = np.zeros(n)
         for s in range(draws):
-            sub = draw_subsample(data, k, seed=s)
+            sub = data.rows(subsample_indices(n, k, seed=s))
             for row in sub.response:
                 counts[np.where(data.response == row)[0][0]] += 1
         expected = draws * k / n
@@ -119,19 +116,18 @@ class TestSubsample:
 class TestDisjointPair:
     def test_partition_of_distinct_rows(self):
         data = make_data(10)
-        d1, d2 = draw_disjoint_pair(data, 6, 4, seed=5)
+        d1, d2 = map(data.rows, disjoint_pair_indices(10, 6, 4, seed=5))
         merged = np.concatenate([d1.response, d2.response])
         assert np.unique(merged).size == 10
 
     def test_empty_second_set(self):
         data = make_data(10)
-        d1, d2 = draw_disjoint_pair(data, 6, 0, seed=5)
+        d1, d2 = map(data.rows, disjoint_pair_indices(10, 6, 0, seed=5))
         assert d1.n == 6 and d2.n == 0
 
     def test_overflow_rejected(self):
-        data = make_data(10)
         with pytest.raises(InvalidSubsampleError):
-            draw_disjoint_pair(data, 8, 4, seed=0)
+            disjoint_pair_indices(10, 8, 4, seed=0)
 
 
 def squared_error(y, yhat):

@@ -17,7 +17,7 @@ from riskmono import (
     zero_step,
     zero_step_grid,
 )
-from riskmono.core import disjoint_pair_indices, draw_subsample, subsample_indices
+from riskmono.core import disjoint_pair_indices, subsample_indices
 from riskmono.monotonize import NULL_INDEX
 
 from conftest import onestep_ingredient_closed_form, random_dataset, stack_datasets
@@ -90,7 +90,7 @@ class TestBaggedIngredient:
         data, _ = random_dataset(rng, 20, 4)
         base = BaseProcedure.mn2ls()
         bag = bagged_ingredient(base, data, 12, M=1, seed=5, cache={})
-        sub = draw_subsample(data, 12, child_seed(5, "bag", 0))
+        sub = data.rows(subsample_indices(data.n, 12, child_seed(5, "bag", 0)))
         np.testing.assert_array_equal(bag.coefficients, base.fit(sub).coefficients)
 
     def test_full_size_subsample_is_degenerate(self, rng):
@@ -105,10 +105,8 @@ class TestBaggedIngredient:
         data, _ = random_dataset(rng, 25, 4)
         base = BaseProcedure.mn2ls()
         bag = bagged_ingredient(base, data, 15, M=2, seed=7, cache={})
-        parts = [
-            base.fit(draw_subsample(data, 15, child_seed(7, "bag", j))).coefficients
-            for j in (0, 1)
-        ]
+        draws = [subsample_indices(data.n, 15, child_seed(7, "bag", j)) for j in (0, 1)]
+        parts = [base.fit(data.rows(idx)).coefficients for idx in draws]
         np.testing.assert_allclose(bag.coefficients, np.mean(parts, axis=0), atol=1e-12)
 
 

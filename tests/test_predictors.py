@@ -1,4 +1,4 @@
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from riskmono import (
     BaseProcedure,
-    ConvergenceWarning,
     Dataset,
+    SolverError,
     fit_lasso,
     fit_mn1ls,
     fit_mn2ls,
@@ -18,6 +18,7 @@ from riskmono import (
 )
 
 from conftest import (
+    l1_lp_oracle,
     l1_vertex_oracle,
     min_norm_interpolant_oracle,
     ols_oracle,
@@ -118,6 +119,48 @@ class TestMn1ls:
         assert np.max(np.abs(resid)) <= 1e-7 * max(1.0, np.max(np.abs(data.response)))
 
 
+def duplicated_rows(rng, n, p):
+    # rows n/2.. repeat rows 0..n/2-1, so X has rank n/2
+    X = rng.standard_normal((n, p))
+    X[n // 2 :] = X[: n // 2]
+    return Dataset(X, rng.standard_normal(n))
+
+
+def l1_case(name):
+    # rank-deficient cases vertex enumeration cannot reach
+    rng = np.random.default_rng(21)
+    if name == "generic":
+        return random_dataset(rng, 30, 90)[0]
+    if name == "duplicated_rows":
+        return duplicated_rows(rng, 30, 80)
+    if name == "rank_deficient_tall":
+        X = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 20))
+        return Dataset(X, rng.standard_normal(40))
+    # columns 1 and 3 copy column 0 (3 negated) and column 2 is zero; at this
+    # seed an active copy leaves the path, and another copy must not take its
+    # place at the same knot
+    if name == "duplicated_and_zero_columns":
+        X = rng.standard_normal((30, 90))
+        X[:, 1], X[:, 2], X[:, 3] = X[:, 0], 0.0, -X[:, 0]
+        return Dataset(X, X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(30))
+    # columns 0 and 1 reach the boundary together; min ||b||_1 = 2 at (1, 1, 0)
+    return Dataset([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], [1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["generic", "duplicated_rows", "duplicated_and_zero_columns", "rank_deficient_tall", "tied"],
+)
+def test_mn1ls_matches_lp_oracle(case):
+    data = l1_case(case)
+    X, y = data.features, data.response
+    beta = fit_mn1ls(data).coefficients
+    want = np.abs(l1_lp_oracle(X, y)).sum()
+    assert abs(np.abs(beta).sum() - want) <= 1e-8 * want
+    grad = X.T @ (X @ beta - y)
+    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(X.T @ y)
+
+
 class TestRidge:
     def test_hand_worked_example(self):
         # direct-solve oracle: (X'X/m + I)^{-1} X'y/m with X=I_2, y=(2,2), m=2
@@ -184,9 +227,7 @@ class TestLasso:
             r = data.response - data.features @ b
             return 0.5 * r @ r / m + lam * np.abs(b).sum()
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            lasso = fit_lasso(data, lam).coefficients
+        lasso = fit_lasso(data, lam).coefficients
         interp = fit_mn1ls(data).coefficients
         assert objective(lasso) <= objective(interp) + 1e-6
 
@@ -198,6 +239,76 @@ class TestLasso:
         dlam = lams[1] - lams[0]
         # no jumps: successive changes stay within a fitted local constant
         assert steps.max() <= 50 * dlam
+
+    def test_tied_columns_all_join(self):
+        # X'X/m = I/2 and both correlations are 0.5: soft thresholding at
+        # 0.1 of 2 X'y/m = (1, 1)
+        beta = fit_lasso(Dataset(np.eye(2), [1.0, 1.0]), 0.1).coefficients
+        np.testing.assert_allclose(beta, [0.8, 0.8], atol=1e-12)
+
+
+def lasso_kkt_residual(data, beta, lam):
+    """Largest violation of the lasso optimality conditions."""
+    X, y = data.features, data.response
+    g = X.T @ (y - X @ beta) / data.n
+    viol = np.where(beta != 0, np.abs(g - lam * np.sign(beta)), np.abs(g) - lam)
+    return max(0.0, float(np.max(viol)))
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "duplicated_rows"])
+def test_lasso_kkt_and_zeros_above_max(shape):
+    rng = np.random.default_rng(11)
+    if shape == "duplicated_rows":
+        data = duplicated_rows(rng, 30, 80)
+    else:
+        data, _ = random_dataset(rng, *((40, 10) if shape == "tall" else (20, 60)))
+    lam_max = np.max(np.abs(data.features.T @ data.response)) / data.n
+    for frac in (0.01, 0.1, 0.5, 0.9):
+        beta = fit_lasso(data, frac * lam_max).coefficients
+        assert np.any(beta != 0)
+        assert lasso_kkt_residual(data, beta, frac * lam_max) <= 1e-9
+    # lam_max from the original rows agrees with the reduced rows' to rounding
+    for factor in (1 + 1e-12, 2.0):
+        np.testing.assert_array_equal(fit_lasso(data, factor * lam_max).coefficients, 0.0)
+
+
+def test_integer_designs_with_ties():
+    # entries in {-1, 0, 1} and integer responses tie many knots; every fit
+    # must match the LP (mn1ls) or meet the optimality conditions (lasso)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n, p = int(rng.integers(2, 10)), int(rng.integers(2, 20))
+        data = Dataset(
+            rng.integers(-1, 2, (n, p)).astype(float), rng.integers(-2, 3, n).astype(float)
+        )
+        lam_max = np.max(np.abs(data.features.T @ data.response)) / n
+        if lam_max == 0:
+            continue
+        beta = fit_mn1ls(data).coefficients
+        want = np.abs(l1_lp_oracle(data.features, data.response)).sum()
+        assert abs(np.abs(beta).sum() - want) <= 1e-8 * want
+        for frac in (0.01, 0.1, 0.5):
+            beta = fit_lasso(data, frac * lam_max).coefficients
+            assert lasso_kkt_residual(data, beta, frac * lam_max) <= 1e-9 * lam_max
+
+
+def test_homotopy_rejects_a_non_optimal_result():
+    # (0.8, 0) is what the path returns if column 1 never joins at the tie
+    with pytest.raises(SolverError, match="optimality residual"):
+        predictors._check_optimal(np.eye(2), np.ones(2), np.array([0.8, 0.0]), 0.1, 2, None, 0.5)
+
+
+@pytest.mark.parametrize("fit", [fit_mn1ls, lambda data: fit_lasso(data, 0.05)])
+def test_homotopy_memory_is_linear_in_p(fit, rng):
+    # a p x p gram would take 72 MB here; the fit may hold O(r p)
+    data, _ = random_dataset(rng, 20, 3000)
+    tracemalloc.start()
+    try:
+        fit(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 3000**2 / 20
 
 
 class TestNullAndDispatch:
