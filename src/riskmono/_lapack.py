@@ -1,0 +1,124 @@
+# ctypes access to the OpenBLAS copies that scipy and numpy load: the SPD
+# Cholesky factor and solve, called without the GIL so that sweep workers
+# overlap, and a pin of every OpenBLAS to one thread while a pool runs.
+
+from __future__ import annotations
+
+import ctypes
+import threading
+from contextlib import contextmanager
+
+import numpy as np
+from scipy.linalg import LinAlgError, cython_lapack
+
+
+class LapackArgumentError(Exception):
+    """LAPACK rejected an argument.  A programming error, so deliberately not
+    a ValueError: cross-validation and the sweep must not count it as a
+    failed candidate or cell."""
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack_function(name: str, *argtypes):
+    """scipy's own LAPACK routine `name` as a plain C call, which releases
+    the GIL (CFUNCTYPE, not PYFUNCTYPE)."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_int = ctypes.POINTER(ctypes.c_int)
+_array = ctypes.c_void_p
+# dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+_potrf = _lapack_function("dpotrf", ctypes.c_char_p, _int, _array, _int, _int)
+_potrs = _lapack_function("dpotrs", ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int)
+
+
+def _check(info: ctypes.c_int, routine: str) -> None:
+    if info.value > 0:
+        raise LinAlgError(f"{info.value}-th leading minor of the array is not positive definite")
+    if info.value < 0:
+        raise LapackArgumentError(f"illegal value in argument {-info.value} of {routine}")
+
+
+def cho_factor(A: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U (U'U = A) of an SPD matrix, as
+    `scipy.linalg.cho_factor(A)[0]`, bit for bit: the upper triangle of a
+    Fortran-order copy of A is factored in place (only that triangle is
+    read), and the strict lower triangle keeps A's entries.  Raises
+    LinAlgError when A is not positive definite."""
+    U = np.array(A, dtype=np.float64, order="F")
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {U.shape}")
+    n, info = U.shape[0], ctypes.c_int()
+    _potrf(b"U", ctypes.c_int(n), U.ctypes.data, ctypes.c_int(max(1, n)), info)
+    _check(info, "dpotrf")
+    return U
+
+
+def cho_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solution X of U'U X = B for the factor U from `cho_factor`, as
+    `scipy.linalg.cho_solve((U, False), B)`, bit for bit; B is a vector or a
+    matrix of right-hand sides and is not modified."""
+    U = np.asfortranarray(U, dtype=np.float64)
+    X = np.array(B, dtype=np.float64, order="F")
+    n = U.shape[0]
+    if U.ndim != 2 or U.shape[1] != n or X.ndim not in (1, 2) or X.shape[0] != n:
+        raise ValueError(f"incompatible shapes {U.shape} and {X.shape}")
+    nrhs, ld, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int(max(1, n)), ctypes.c_int()
+    _potrs(b"U", ctypes.c_int(n), ctypes.c_int(nrhs), U.ctypes.data, ld, X.ctypes.data, ld, info)
+    _check(info, "dpotrs")
+    return X
+
+
+def _openblas_thread_setters() -> list:
+    """`openblas_set_num_threads_local` of every OpenBLAS this process has
+    mapped (numpy and scipy each bundle one); empty where /proc/self/maps is
+    missing or an OpenBLAS predates the symbol."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    setters = []
+    for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
+        setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(setter)
+    return setters
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS on one thread, then restore the
+    previous counts.  The pthreads OpenBLAS that numpy and scipy ship keeps
+    one thread count per process (`openblas_set_num_threads_local` sets it
+    for all threads and returns the old value), so the pin is process-wide
+    and reference-counted: overlapping blocks restore when the last exits."""
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [(setter, setter(1)) for setter in _openblas_thread_setters()]
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for setter, previous in _pin_saved:
+                    setter(previous)
+                _pin_saved = []

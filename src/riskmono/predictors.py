@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import _lapack
 from .core import Dataset, LinearPredictor, SolverError
 
 # pseudoinverse rank cutoff: singular values <= RTOL_SCALE*max(n,p)*s_max drop
@@ -38,22 +39,20 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
     Returns None when the system looks (near-)rank-deficient; a rank-deficient
     gram solve can satisfy the normal equations without being min-norm, so the
     guard is on conditioning, not on the residual.  `gram` supplies a
-    precomputed row gram X X' for the n < p side."""
+    precomputed row gram X X' for the n < p side.  The solves release the
+    GIL, so sweep workers overlap."""
     n, p = X.shape
     try:
         if n >= p:
-            A = X.T @ X
-            b = X.T @ y
-            factor = scipy.linalg.cho_factor(A, check_finite=False)
-            if not _well_conditioned(factor[0]):
+            U = _lapack.cho_factor(X.T @ X)
+            if not _well_conditioned(U):
                 return None
-            beta = scipy.linalg.cho_solve(factor, b, check_finite=False)
+            beta = _lapack.cho_solve(U, X.T @ y)
         else:
-            G = X @ X.T if gram is None else gram
-            factor = scipy.linalg.cho_factor(G, check_finite=False)
-            if not _well_conditioned(factor[0]):
+            U = _lapack.cho_factor(X @ X.T if gram is None else gram)
+            if not _well_conditioned(U):
                 return None
-            beta = X.T @ scipy.linalg.cho_solve(factor, y, check_finite=False)
+            beta = X.T @ _lapack.cho_solve(U, y)
     except scipy.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(beta)):
@@ -75,12 +74,11 @@ def fit_ridge(data: Dataset, lam: float) -> LinearPredictor:
     X, y, m = data.features, data.response, data.n
     if data.p <= data.n:
         A = X.T @ X / m + lam * np.eye(data.p)
-        b = X.T @ y / m
-        beta = scipy.linalg.solve(A, b, assume_a="pos")
+        beta = _lapack.cho_solve(_lapack.cho_factor(A), X.T @ y / m)
     else:
         # push-through identity keeps the solve at n x n when p > n
         A = X @ X.T / m + lam * np.eye(m)
-        beta = X.T @ scipy.linalg.solve(A, y, assume_a="pos") / m
+        beta = X.T @ _lapack.cho_solve(_lapack.cho_factor(A), y) / m
     return LinearPredictor(beta)
 
 
@@ -155,10 +153,10 @@ def _lasso_homotopy(X: np.ndarray, y: np.ndarray, lam: float, m: int) -> np.ndar
         signs[j] = (1.0, -1.0, 0.0)[row]
         A = np.array(active)
         try:
-            factor = scipy.linalg.cho_factor(gram[A, : A.size], check_finite=False)
+            factor = _lapack.cho_factor(gram[A, : A.size])
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"lasso homotopy: singular active gram ({A.size} active)") from exc
-        ud = scipy.linalg.cho_solve(factor, np.column_stack([c[A], signs[A]]), check_finite=False)
+        ud = _lapack.cho_solve(factor, np.column_stack([c[A], signs[A]]))
         u, d = ud.T
         e, a = c - gram[:, : A.size] @ u, gram[:, : A.size] @ d
         free = (signs == 0) & (np.abs(e) > floor)
@@ -261,7 +259,7 @@ class BaseProcedure:
         if self.kind == "mn2ls" and train.p > idx.size:
             if "row_gram" not in cache:
                 cache["row_gram"] = train.features @ train.features.T
-            beta = _mn2ls_cholesky(X, y, cache["row_gram"][np.ix_(idx, idx)])
+            beta = _mn2ls_cholesky(X, y, cache["row_gram"][idx][:, idx])
             if beta is not None:
                 return beta
         return self.fit(Dataset(X, y)).coefficients

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._lapack import one_blas_thread
 from .core import child_seed
 from .datagen import ConditionalSampler, DataModel, generate
 from .monotonize import MonotonizeConfig, one_step, zero_step
@@ -165,7 +166,9 @@ def run_sweep(cfg: SweepConfig) -> CurveTable:
     Per-replication failures are recorded and the run continues; a grid point
     where more than MAX_FAILURE_RATE of the replications fail gets NaN means.
     Output is deterministic in (config, master_seed) regardless of the worker
-    count because every cell derives its own seed.
+    count because every cell derives its own seed.  With more than one
+    worker, every OpenBLAS runs on one thread while the pool runs, so each
+    worker's BLAS is serial; one worker leaves BLAS threading alone.
 
     Besides the CSV_COLUMNS, each row carries `mean_oracle_risk` and
     `se_oracle_risk`: the per-replication best candidate's true risk, which
@@ -193,7 +196,9 @@ def run_sweep(cfg: SweepConfig) -> CurveTable:
             return task, exc
 
     if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the workers are the parallelism; OpenBLAS threads on top of them
+        # would oversubscribe the CPUs
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             for task, outcome in pool.map(run_task, tasks):
                 results[task] = outcome
     else:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,23 @@ from riskmono.profiles import mn1ls_profile
 from riskmono.sweep import CSV_COLUMNS
 
 from conftest import scan_monotonized_profile
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "RISKMONO_THREADS")
+# a zero-step sweep at n = 400, where OpenBLAS threads its gram products and
+# Cholesky factors, so a BLAS thread count could reach the output
+BLAS_SIZED_CONFIG = "\n".join([
+    "model = dense", "rho2 = 4", "proc = zero", "n = 400", "gammas = 0.5,2",
+    "reps = 2", "block = 60", "n_te = 40", "seed = 3", "",
+])
+# prints the in-memory rows of that sweep, every float in hex
+ROWS_SCRIPT = """
+import sys
+from riskmono.cli import _config_to_sweep, read_config
+from riskmono.sweep import run_sweep
+rows = run_sweep(_config_to_sweep(read_config(sys.argv[1]), {})).rows
+print(repr([{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in rows]))
+"""
 
 
 def small_cfg(**kw):
@@ -176,3 +197,36 @@ class TestRunSweep:
             small_cfg(gamma_grid=(2.0, 0.5))
         with pytest.raises(ValueError):
             small_cfg(procedure="mystery")
+
+
+class TestThreadEnvironments:
+    """Each run is a fresh process with the thread counts set before numpy
+    loads, as a user sets them."""
+
+    @staticmethod
+    def run(args, riskmono_threads, blas_threads):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env.update(RISKMONO_THREADS=riskmono_threads, OPENBLAS_NUM_THREADS=blas_threads,
+                   OMP_NUM_THREADS=blas_threads, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_csv_identical_across_worker_and_blas_threads(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(BLAS_SIZED_CONFIG)
+        csvs = {}
+        for workers in ("1", "2"):
+            for blas in ("1", "2"):
+                out = tmp_path / f"w{workers}-b{blas}.csv"
+                self.run(["-m", "riskmono.cli", "simulate", "--config", str(config),
+                          "--out", str(out)], workers, blas)
+                csvs[workers, blas] = out.read_bytes()
+        assert len(csvs[("1", "1")].splitlines()) == 3
+        assert all(csv == csvs[("1", "1")] for csv in csvs.values())
+
+    def test_rows_bit_identical_across_workers_with_blas_pinned(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(BLAS_SIZED_CONFIG)
+        serial = self.run(["-c", ROWS_SCRIPT, str(config)], "1", "1")
+        assert serial == self.run(["-c", ROWS_SCRIPT, str(config)], "2", "1")
