@@ -25,7 +25,7 @@ from .profiles import (
     solve_v,
 )
 from .risk_estimation import AVG, Mom, estimate_risk_avg, median_of_means
-from .sweep import DEFAULT_NU, SweepConfig, run_sweep
+from .sweep import SweepConfig, run_sweep
 
 _BASE_ALIASES = {
     "mn2": "mn2ls",
@@ -73,14 +73,6 @@ def parse_base(name: str, lam: float | None) -> BaseProcedure:
     if kind is None:
         raise ConfigError(f"unknown base procedure {name!r}")
     return BaseProcedure(kind, lam)  # ValueError unless ridge/lasso get lam > 0
-
-
-def _monotonize_config(**knobs) -> MonotonizeConfig:
-    """MonotonizeConfig that falls back to the sweep's default nu when neither
-    block nor nu is given; giving both is still a ConfigError."""
-    if knobs.get("block") is None and knobs.get("nu") is None:
-        knobs["nu"] = DEFAULT_NU
-    return MonotonizeConfig(**knobs)
 
 
 def read_config(path) -> dict:
@@ -132,7 +124,7 @@ def _config_to_sweep(values: dict, overrides: dict) -> SweepConfig:
         model=model,
         procedure=proc,
         base=parse_base(get("base", default="mn2"), get("lambda", float)),
-        mono=_monotonize_config(
+        mono=MonotonizeConfig(
             M=get("m", int, 1),
             n_te=get("n_te", int),
             block=get("block", int),
@@ -187,7 +179,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_monotonize(args) -> int:
     data = Dataset.from_csv(args.data)
     base = parse_base(args.base, args.lam)
-    cfg = _monotonize_config(
+    cfg = MonotonizeConfig(
         M=args.M,
         n_te=args.nte,
         block=args.block,
@@ -225,7 +217,7 @@ def _cmd_selftest(args) -> int:
     data, beta0 = generate(model, 60, seed=7)
     d_again, _ = generate(model, 60, seed=7)
     checks.append(("generator determinism", np.array_equal(data.features, d_again.features)))
-    tr, te, _ = split_train_test(data, 10, child_seed(11, "demo"))
+    tr, te = split_train_test(data, 10, child_seed(11, "demo"))
     est = estimate_risk_avg(BaseProcedure.null().fit(tr), te)
     checks.append(("null-risk estimate finite", math.isfinite(est.value)))
     table, _ = zero_step(

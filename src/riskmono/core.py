@@ -115,33 +115,14 @@ def loss_values(pred: LinearPredictor, data: Dataset) -> np.ndarray:
     return (data.response - data.features @ pred.coefficients) ** 2
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        tr = np.sort(np.asarray(self.train_indices, dtype=np.intp))
-        te = np.sort(np.asarray(self.test_indices, dtype=np.intp))
-        n = tr.size + te.size
-        union = np.concatenate([tr, te])
-        if np.intersect1d(tr, te).size:
-            raise InvalidSplitError("train and test indices overlap")
-        if not np.array_equal(np.sort(union), np.arange(n)):
-            raise InvalidSplitError("train/test indices do not partition 0..n-1")
-        object.__setattr__(self, "train_indices", tr)
-        object.__setattr__(self, "test_indices", te)
-
-
 def split_train_test(data: Dataset, n_te: int, seed: int):
     """Uniformly random split into train (n - n_te rows) and test (n_te rows)."""
     n = data.n
     if not 0 < n_te < n:
         raise InvalidSplitError(f"need 0 < n_te < n, got n_te={n_te}, n={n}")
     perm = rng_from(seed).permutation(n)
-    plan = SplitPlan(perm[n_te:], perm[:n_te], seed)
-    return data.rows(plan.train_indices), data.rows(plan.test_indices), plan
+    # ascending row order on each side: the bits of every CV fit depend on it
+    return data.rows(np.sort(perm[n_te:])), data.rows(np.sort(perm[:n_te]))
 
 
 def subsample_indices(n: int, k: int, seed: int) -> np.ndarray:

@@ -77,7 +77,7 @@ def cross_validate(
     """
     if n_te is None:
         n_te = default_test_size(data.n)
-    train, test, _ = split_train_test(data, n_te, child_seed(seed, "cv-split"))
+    train, test = split_train_test(data, n_te, child_seed(seed, "cv-split"))
 
     rows = []
     for xi in family.indices:

@@ -19,6 +19,8 @@ class ConfigError(ValueError):
 
 
 NULL_INDEX = "null"
+# block = floor(n^nu) when a config gives neither block nor nu
+DEFAULT_NU = 0.5
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,8 @@ class MonotonizeConfig:
     """Knobs shared by the zero-step and one-step procedures.
 
     The subsample block size may be given directly (`block`, matching how the
-    experiments state it) or as the exponent `nu` with block = floor(n^nu).
+    experiments state it) or as the exponent `nu` with block = floor(n^nu);
+    with neither, nu = DEFAULT_NU.
     """
 
     M: int = 1
@@ -40,8 +43,10 @@ class MonotonizeConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
-        if (self.block is None) == (self.nu is None):
-            raise ConfigError("give exactly one of block or nu")
+        if self.block is not None and self.nu is not None:
+            raise ConfigError(f"give exactly one of block or nu, or neither for nu = {DEFAULT_NU}")
+        if self.block is None and self.nu is None:
+            object.__setattr__(self, "nu", DEFAULT_NU)
         if self.block is not None and self.block < 1:
             raise ConfigError(f"block must be >= 1, got {self.block}")
         if self.nu is not None and not 0.0 < self.nu < 1.0:
@@ -98,6 +103,12 @@ def one_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int, int, in
     return grid
 
 
+def _bag(M: int, seed: int, tag: str, fit_draw) -> LinearPredictor:
+    """Coefficient average of fit_draw(child_seed(seed, tag, j)) over j < M."""
+    # valid for linear predictors: averaging coefficients == averaging predictions
+    return LinearPredictor(np.mean([fit_draw(child_seed(seed, tag, j)) for j in range(M)], axis=0))
+
+
 def bagged_ingredient(
     base: BaseProcedure, train: Dataset, k: int, M: int, seed: int, cache: dict
 ) -> LinearPredictor:
@@ -107,12 +118,9 @@ def bagged_ingredient(
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    coefs = [
-        base.fit_rows(train, subsample_indices(train.n, k, child_seed(seed, "bag", j)), cache)
-        for j in range(M)
-    ]
-    # valid for linear predictors: averaging coefficients == averaging predictions
-    return LinearPredictor(np.mean(coefs, axis=0))
+    return _bag(
+        M, seed, "bag", lambda s: base.fit_rows(train, subsample_indices(train.n, k, s), cache)
+    )
 
 
 def onestep_ingredient(
@@ -130,14 +138,34 @@ def onestep_ingredient(
     return LinearPredictor(pilot + adjust)
 
 
-def _bagged_onestep(
-    base: BaseProcedure, train: Dataset, n1: int, n2: int, M: int, seed: int, cache: dict
-) -> LinearPredictor:
-    coefs = []
-    for j in range(M):
-        idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, child_seed(seed, "pair", j))
-        coefs.append(onestep_ingredient(base, train, idx1, idx2, cache).coefficients)
-    return LinearPredictor(np.mean(coefs, axis=0))
+def _candidate(base, cfg, cache, xi1, n1, xi2=0, n2=0):
+    """Candidate fit train -> predictor.  With xi2 = 0 it is zero-step
+    candidate xi1, the bagged size-n1 ingredient under seed (zs, xi1), and
+    one-step's (xi1, 0) rows are these same fits.  With xi2 >= 1 it averages
+    the one-step ingredient over M disjoint (n1, n2) row pairs."""
+    if xi2 == 0:
+        seed = child_seed(cfg.seed, "zs", xi1)
+        return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed, cache)
+    seed = child_seed(cfg.seed, "os", xi1, xi2)
+
+    def fit(train):
+        def draw(s):
+            idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, s)
+            return onestep_ingredient(base, train, idx1, idx2, cache).coefficients
+        return _bag(cfg.M, seed, "pair", draw)
+    return fit
+
+
+def _select(data: Dataset, cfg: MonotonizeConfig, candidates):
+    """Cross-validated selection over candidates(n_te, block, cache), a dict
+    index -> (train -> predictor), plus the null predictor when configured.
+    The cache holds the row gram that every candidate of the run shares."""
+    n_te = cfg.resolve_n_te(data.n)
+    fits = candidates(n_te, cfg.resolve_block(data.n), {})
+    if cfg.include_null:
+        fits[NULL_INDEX] = BaseProcedure.null().fit
+    return cross_validate(CandidateFamily(tuple(fits), fits.__getitem__), data, n_te, cfg.cen,
+                          cfg.seed)
 
 
 def zero_step(
@@ -145,46 +173,18 @@ def zero_step(
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over bagged subsample sizes (plus the null
     predictor when configured)."""
-    n_te = cfg.resolve_n_te(data.n)
-    block = cfg.resolve_block(data.n)
-    grid = dict(zero_step_grid(data.n, n_te, block))
-    cache: dict = {}  # row gram shared across candidates of this run
-
-    def fitter(xi):
-        if xi == NULL_INDEX:
-            return lambda train: BaseProcedure.null().fit(train)
-        k = grid[xi]
-        seed = child_seed(cfg.seed, "zs", xi)
-        return lambda train: bagged_ingredient(base, train, k, cfg.M, seed, cache)
-
-    indices = tuple(grid) + ((NULL_INDEX,) if cfg.include_null else ())
-    family = CandidateFamily(indices, fitter)
-    return cross_validate(family, data, n_te, cfg.cen, cfg.seed)
+    return _select(data, cfg, lambda n_te, block, cache: {
+        xi: _candidate(base, cfg, cache, xi, k) for xi, k in zero_step_grid(data.n, n_te, block)
+    })
 
 
 def one_step(
     data: Dataset, base: BaseProcedure, cfg: MonotonizeConfig
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over disjoint split pairs with the MN2LS
-    residual adjustment (xi2 = 0 rows carry no adjustment)."""
-    n_te = cfg.resolve_n_te(data.n)
-    block = cfg.resolve_block(data.n)
-    grid = {(xi1, xi2): (n1, n2) for xi1, xi2, n1, n2 in one_step_grid(data.n, n_te, block)}
-    cache: dict = {}
-
-    def fitter(xi):
-        if xi == NULL_INDEX:
-            return lambda train: BaseProcedure.null().fit(train)
-        n1, n2 = grid[xi]
-        if xi[1] == 0:
-            # no-adjustment rows reuse the zero-step seed path, so the
-            # one-step candidate set contains the zero-step ingredients
-            seed = child_seed(cfg.seed, "zs", xi[0])
-            return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed, cache)
-        return lambda train: _bagged_onestep(
-            base, train, n1, n2, cfg.M, child_seed(cfg.seed, "os", *xi), cache
-        )
-
-    indices = tuple(grid) + ((NULL_INDEX,) if cfg.include_null else ())
-    family = CandidateFamily(indices, fitter)
-    return cross_validate(family, data, n_te, cfg.cen, cfg.seed)
+    residual adjustment.  The (xi1, 0) rows carry no adjustment: they are the
+    zero-step candidates xi1 themselves."""
+    return _select(data, cfg, lambda n_te, block, cache: {
+        (xi1, xi2): _candidate(base, cfg, cache, xi1, n1, xi2, n2)
+        for xi1, xi2, n1, n2 in one_step_grid(data.n, n_te, block)
+    })

@@ -41,8 +41,6 @@ CSV_COLUMNS = (
 
 PROCEDURES = ("base", "zero", "one")
 
-# block = floor(n^nu) when a run gives neither block nor nu
-DEFAULT_NU = 0.5
 # a grid point with a larger share of failed replications gets NaN means
 MAX_FAILURE_RATE = 0.2
 
@@ -63,7 +61,7 @@ class SweepConfig:
     model: DataModel  # template; p is overridden per gamma
     procedure: str = "base"
     base: BaseProcedure = field(default_factory=BaseProcedure.mn2ls)
-    mono: MonotonizeConfig = field(default_factory=lambda: MonotonizeConfig(nu=DEFAULT_NU))
+    mono: MonotonizeConfig = field(default_factory=MonotonizeConfig)
     n_mc: int = 0
     master_seed: int = 0
 
@@ -89,9 +87,6 @@ class CurveTable:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for row in self.rows:
                 fh.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
 
 
 def _fmt(value) -> str:
@@ -177,48 +172,34 @@ def run_sweep(cfg: SweepConfig) -> CurveTable:
     string per failed replication, in replication order.  They are not
     written to the CSV.
     """
-    tasks = []
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        p = max(1, round(gamma * cfg.n))
-        for rep in range(cfg.reps):
-            tasks.append((gi, p, rep))
-
-    workers = worker_count()
-    results: dict[tuple, tuple] = {}
+    ps = [max(1, round(gamma * cfg.n)) for gamma in cfg.gamma_grid]
+    tasks = [(gi, p, rep) for gi, p in enumerate(ps) for rep in range(cfg.reps)]
 
     def run_task(task):
-        gi, p, rep = task
         try:
-            return task, _replication(cfg, gi, p, rep)
+            return _replication(cfg, *task)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             # numerical, solver and configuration failures of one cell;
             # anything else is a programming error and propagates
-            return task, exc
+            return exc
 
+    workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         # the workers are the parallelism; OpenBLAS threads on top of them
         # would oversubscribe the CPUs
         with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            for task, outcome in pool.map(run_task, tasks):
-                results[task] = outcome
+            outcomes = list(pool.map(run_task, tasks))
     else:
-        for task in tasks:
-            results[task] = run_task(task)[1]
+        outcomes = [run_task(task) for task in tasks]
 
     rows = []
-    for gi, (gamma, (analytic, monotonized)) in enumerate(
-        zip(cfg.gamma_grid, _analytic_columns(cfg))
+    for gi, (gamma, p, (analytic, monotonized)) in enumerate(
+        zip(cfg.gamma_grid, ps, _analytic_columns(cfg))
     ):
-        p = max(1, round(gamma * cfg.n))
-        risks, mcs, oracles, reasons = [], [], [], []
-        for rep in range(cfg.reps):
-            outcome = results[(gi, p, rep)]
-            if isinstance(outcome, Exception):
-                reasons.append(f"{type(outcome).__name__}: {outcome}")
-            else:
-                risks.append(outcome[0])
-                mcs.append(outcome[1])
-                oracles.append(outcome[2])
+        cell = outcomes[gi * cfg.reps : (gi + 1) * cfg.reps]
+        reasons = [f"{type(o).__name__}: {o}" for o in cell if isinstance(o, Exception)]
+        done = [o for o in cell if not isinstance(o, Exception)]
+        risks, mcs, oracles = ([o[i] for o in done] for i in range(3))
         n_fail = len(reasons)
         valid = risks and n_fail <= MAX_FAILURE_RATE * cfg.reps
         rows.append(
@@ -239,7 +220,6 @@ def run_sweep(cfg: SweepConfig) -> CurveTable:
                 "se_oracle_risk": _std_err(oracles) if valid else math.nan,
             }
         )
-    rows.sort(key=lambda r: (r["gamma"], r["proc"], r["M"]))
     return CurveTable(rows)
 
 

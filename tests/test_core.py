@@ -48,12 +48,16 @@ class TestDataset:
         np.testing.assert_array_equal(back.response, data.response)
 
 
+def indexed_data(n, p=2):
+    """Dataset whose response is the row index, so a split shows its rows."""
+    return Dataset(np.zeros((n, p)), np.arange(n, dtype=np.float64))
+
+
 class TestSplit:
     def test_sizes_and_partition(self):
-        data = make_data(10)
-        train, test, plan = split_train_test(data, 2, seed=7)
+        train, test = split_train_test(indexed_data(10), 2, seed=7)
         assert train.n == 8 and test.n == 2
-        union = np.union1d(plan.train_indices, plan.test_indices)
+        union = np.union1d(train.response, test.response)
         np.testing.assert_array_equal(union, np.arange(10))
 
     def test_full_test_rejected(self):
@@ -65,20 +69,23 @@ class TestSplit:
 
     def test_determinism(self):
         data = make_data(20)
-        _, _, p1 = split_train_test(data, 6, seed=42)
-        _, _, p2 = split_train_test(data, 6, seed=42)
-        np.testing.assert_array_equal(p1.train_indices, p2.train_indices)
-        np.testing.assert_array_equal(p1.test_indices, p2.test_indices)
+        tr1, te1 = split_train_test(data, 6, seed=42)
+        tr2, te2 = split_train_test(data, 6, seed=42)
+        np.testing.assert_array_equal(tr1.features, tr2.features)
+        np.testing.assert_array_equal(tr1.response, tr2.response)
+        np.testing.assert_array_equal(te1.features, te2.features)
+        np.testing.assert_array_equal(te1.response, te2.response)
 
     @settings(deadline=None, max_examples=50)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32))
     def test_partition_property(self, n, seed):
-        data = make_data(n, p=2, seed=1)
         n_te = max(1, n // 3)
-        _, _, plan = split_train_test(data, n_te, seed)
-        assert plan.test_indices.size == n_te
-        assert np.intersect1d(plan.train_indices, plan.test_indices).size == 0
-        assert plan.train_indices.size + plan.test_indices.size == n
+        train, test = split_train_test(indexed_data(n), n_te, seed)
+        assert test.n == n_te
+        assert np.intersect1d(train.response, test.response).size == 0
+        assert train.n + test.n == n
+        # each side keeps its rows in ascending order
+        assert np.all(np.diff(train.response) > 0) and np.all(np.diff(test.response) > 0)
 
 
 class TestSubsample:

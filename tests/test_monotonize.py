@@ -78,11 +78,12 @@ class TestGrids:
         with pytest.raises(ConfigError):
             MonotonizeConfig(M=0, block=10)
         with pytest.raises(ConfigError):
-            MonotonizeConfig()  # neither block nor nu
-        with pytest.raises(ConfigError):
             MonotonizeConfig(block=10, nu=0.5)
         cfg = MonotonizeConfig(nu=0.5)
         assert cfg.resolve_block(100) == 10
+        # neither block nor nu: block = floor(n^0.5)
+        default = MonotonizeConfig()
+        assert default.resolve_block(100) == 10 and default.resolve_block(99) == 9
 
 
 class TestBaggedIngredient:
@@ -166,17 +167,23 @@ class TestZeroStep:
 
 
 class TestOneStep:
-    def test_candidates_contain_zero_step_ingredients(self, rng):
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize(
+        "base", (BaseProcedure.mn2ls(), BaseProcedure.lasso(0.5)), ids=lambda b: b.kind
+    )
+    def test_candidates_contain_zero_step_ingredients(self, rng, base, M):
         data, _ = random_dataset(rng, 90, 8)
-        cfg = MonotonizeConfig(block=10, n_te=18, seed=14)
-        ztable, _ = zero_step(data, BaseProcedure.mn2ls(), cfg)
-        otable, _ = one_step(data, BaseProcedure.mn2ls(), cfg)
-        zest = ztable.estimates()
-        oest = otable.estimates()
-        shared = [xi for xi in zest if xi != NULL_INDEX and xi >= 2]
+        cfg = MonotonizeConfig(M=M, block=10, n_te=18, seed=14)
+        ztable, _ = zero_step(data, base, cfg)
+        otable, _ = one_step(data, base, cfg)
+        zrows = {row.index: row for row in ztable.rows}
+        orows = {row.index: row for row in otable.rows}
+        shared = [xi for xi in zrows if xi != NULL_INDEX and xi >= 2]
         assert shared, "expected overlapping grid indices"
         for xi in shared:
-            assert oest[(xi, 0)] == zest[xi]
+            zrow, orow = zrows[xi], orows[(xi, 0)]
+            assert orow.estimate.value == zrow.estimate.value
+            assert orow.predictor.coefficients.tobytes() == zrow.predictor.coefficients.tobytes()
 
     def test_superset_gives_no_worse_selection(self, rng):
         # holds whenever zero-step does not select its xi=1 candidate, which
@@ -199,7 +206,7 @@ class TestOneStep:
 
 def _cv_train(data, cfg):
     """The training split cross_validate fits every candidate on."""
-    train, _, _ = split_train_test(data, cfg.n_te, child_seed(cfg.seed, "cv-split"))
+    train, _ = split_train_test(data, cfg.n_te, child_seed(cfg.seed, "cv-split"))
     return train
 
 
