@@ -1,6 +1,8 @@
 # ctypes access to the OpenBLAS copies that scipy and numpy load: the SPD
 # Cholesky factor and solve, called without the GIL so that sweep workers
 # overlap, and a pin of every OpenBLAS to one thread while a pool runs.
+# scipy's LAPACK is bound at the first call that needs it, not at import, so
+# `import riskmono` loads numpy only.
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import LinAlgError, cython_lapack
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 
 class LapackArgumentError(Exception):
@@ -26,19 +28,41 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 
-def _lapack_function(name: str, *argtypes):
-    """scipy's own LAPACK routine `name` as a plain C call, which releases
-    the GIL (CFUNCTYPE, not PYFUNCTYPE)."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
 _int = ctypes.POINTER(ctypes.c_int)
 _array = ctypes.c_void_p
 # dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
-_potrf = _lapack_function("dpotrf", ctypes.c_char_p, _int, _array, _int, _int)
-_potrs = _lapack_function("dpotrs", ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int)
+_PROTOTYPES = {
+    "_potrf": ("dpotrf", ctypes.c_char_p, _int, _array, _int, _int),
+    "_potrs": ("dpotrs", ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int),
+}
+
+
+_bound = False
+
+
+def _bind() -> None:
+    """Load scipy's LAPACK (and with it scipy's OpenBLAS) and bind `_potrf`
+    and `_potrs` as module attributes, once: each is scipy's own routine as a
+    plain C call, which releases the GIL (CFUNCTYPE, not PYFUNCTYPE)."""
+    global _bound
+    if _bound:
+        return
+    from scipy.linalg import cython_lapack
+
+    for attr, (name, *argtypes) in _PROTOTYPES.items():
+        capsule = cython_lapack.__pyx_capi__[name]
+        address = _capsule_pointer(capsule, _capsule_name(capsule))
+        # setdefault: a routine a test substituted before binding stays
+        globals().setdefault(attr, ctypes.CFUNCTYPE(None, *argtypes)(address))
+    _bound = True
+
+
+def __getattr__(name: str):
+    # `_potrf` and `_potrs` exist from the first call that needs LAPACK on
+    if name in _PROTOTYPES:
+        _bind()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check(info: ctypes.c_int, routine: str) -> None:
@@ -58,6 +82,7 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     n, info = U.shape[0], ctypes.c_int()
+    _bind()
     _potrf(b"U", ctypes.c_int(n), U.ctypes.data, ctypes.c_int(max(1, n)), info)
     _check(info, "dpotrf")
     return U
@@ -73,6 +98,7 @@ def cho_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or U.shape[1] != n or X.ndim not in (1, 2) or X.shape[0] != n:
         raise ValueError(f"incompatible shapes {U.shape} and {X.shape}")
     nrhs, ld, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int(max(1, n)), ctypes.c_int()
+    _bind()
     _potrs(b"U", ctypes.c_int(n), ctypes.c_int(nrhs), U.ctypes.data, ld, X.ctypes.data, ld, info)
     _check(info, "dpotrs")
     return X
@@ -81,7 +107,9 @@ def cho_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _openblas_thread_setters() -> list:
     """`openblas_set_num_threads_local` of every OpenBLAS this process has
     mapped (numpy and scipy each bundle one); empty where /proc/self/maps is
-    missing or an OpenBLAS predates the symbol."""
+    missing or an OpenBLAS predates the symbol.  Binds LAPACK first, so that
+    scipy's OpenBLAS is mapped even before the first fit."""
+    _bind()
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}

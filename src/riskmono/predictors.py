@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _lapack
 from .core import Dataset, LinearPredictor, SolverError
@@ -53,7 +52,7 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
             if not _well_conditioned(U):
                 return None
             beta = X.T @ _lapack.cho_solve(U, y)
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(beta)):
         return None
@@ -154,7 +153,7 @@ def _lasso_homotopy(X: np.ndarray, y: np.ndarray, lam: float, m: int) -> np.ndar
         A = np.array(active)
         try:
             factor = _lapack.cho_factor(gram[A, : A.size])
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"lasso homotopy: singular active gram ({A.size} active)") from exc
         ud = _lapack.cho_solve(factor, np.column_stack([c[A], signs[A]]))
         u, d = ud.T

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import SolverError
 
@@ -30,10 +29,74 @@ def _norm_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-# Brent root finding (scipy.optimize.brentq) on a sign-change bracket, to the
-# smallest relative tolerance brentq accepts; the absolute tolerance is set per
-# call from the scale of the root.
-_RTOL = 4.0 * np.finfo(np.float64).eps
+# Brent root finding on a sign-change bracket, to the smallest relative
+# tolerance scipy.optimize.brentq accepts and within its default iteration
+# count; the absolute tolerance is set per call from the scale of the root.
+_RTOL = 4.0 * float(np.finfo(np.float64).eps)
+_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent 1973, "Algorithms for Minimization without Derivatives",
+    ch. 4).  A line-by-line port of the C loop behind scipy.optimize.brentq
+    at rtol = _RTOL: the same steps, stopping rule and float operations in
+    the same order, so the same root bit for bit.  Stops when f = 0 or the
+    bracket half-width is below (xtol + _RTOL |x|) / 2.  Raises ValueError
+    when f(a) and f(b) have the same sign or f is NaN, and RuntimeError after
+    _MAXITER iterations."""
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), _RTOL
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _root_value(f, xpre), _root_value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # values are never NaN, so for nonzero ones < 0 is C's signbit
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a}) and f({b}) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the best point so far
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step, which bisects
+                stry = INF
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _root_value(f, xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_MAXITER} iterations; last x = {xcur}")
+
+
+def _root_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; the root finder cannot continue")
+    return fx
 
 
 @dataclass(frozen=True)
@@ -168,7 +231,7 @@ def solve_v(phi: float, H: SpectralInputs = ISOTROPIC) -> FixedPointState:
         grow += 1
         if grow > 200:
             raise SolverError(f"failed to bracket v(0; {phi}) below {hi}")
-    v = brentq(g, lo, hi, xtol=1e-24, rtol=_RTOL)
+    v = brentq(g, lo, hi, xtol=1e-24)
     residual = abs(g(v))
     if residual > 1e-12:
         raise SolverError(f"fixed-point residual {residual:.2e} at phi={phi}")
@@ -308,7 +371,7 @@ def _solve_alpha(tau: float, prior: Mn1lsPrior, target: float) -> float:
         grow += 1
         if grow > 200:
             raise SolverError(f"failed to bracket alpha at tau={tau}")
-    return brentq(f, 0.0, hi, xtol=1e-15, rtol=_RTOL)
+    return brentq(f, 0.0, hi, xtol=1e-15)
 
 
 def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
@@ -348,7 +411,7 @@ def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
             raise SolverError(
                 f"failed to bracket tau at phi={phi}: residual {outer(hi):.3e} at tau={hi:.3e}"
             )
-    tau = brentq(outer, lo, hi, xtol=1e-15 * math.sqrt(sigma2), rtol=_RTOL)
+    tau = brentq(outer, lo, hi, xtol=1e-15 * math.sqrt(sigma2))
     res_outer = outer(tau)
     alpha = _solve_alpha(tau, prior, target)
     res_inner = (
@@ -385,7 +448,7 @@ def snr_star() -> float:
         q = math.sqrt(2.0 * rs - 1.0)
         return 1.0 - 1.0 / (2.0 * q) - 1.0 / (2.0 - 1.0 / rs - 1.0 / q)
 
-    return brentq(f, 1.0 + 1e-9, 100.0, xtol=1e-14, rtol=_RTOL)
+    return brentq(f, 1.0 + 1e-9, 100.0, xtol=1e-14)
 
 
 def _lagrange_candidates(gamma: float, s: float):
@@ -422,7 +485,7 @@ def _lagrange_candidates(gamma: float, s: float):
             roots.append(grid[i])
         elif (vals[i] > 0.0) != (vals[i + 1] > 0.0) and math.isfinite(vals[i + 1]):
             # a sign change into +-inf is the zeta2 = 1 pole, not a root
-            roots.append(brentq(F, grid[i], grid[i + 1], xtol=1e-15, rtol=_RTOL))
+            roots.append(brentq(F, grid[i], grid[i + 1], xtol=1e-15))
     return [(z1, zeta2_of(z1)) for z1 in roots]
 
 
@@ -478,7 +541,7 @@ def gamma_star(snr: float) -> float:
     def f(g):
         return g / (1.0 - g) - _overparam_optimum(g, snr)[0]
 
-    return brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-15, rtol=_RTOL)
+    return brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

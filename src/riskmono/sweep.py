@@ -71,6 +71,8 @@ class SweepConfig:
         grid = tuple(float(g) for g in self.gamma_grid)
         if not grid or any(g <= 0 for g in grid):
             raise ValueError("gamma grid must be nonempty and positive")
+        if not all(map(math.isfinite, grid)):
+            raise ValueError(f"gamma grid must be finite, got {grid}")
         if list(grid) != sorted(grid):
             raise ValueError("gamma grid must be sorted ascending")
         if self.procedure not in PROCEDURES:

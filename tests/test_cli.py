@@ -119,6 +119,16 @@ seed = 3
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gammas", ["0.5,inf", "0.5,nan"])
+    def test_non_finite_gamma_is_an_error(self, tmp_path, capsys, gammas):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"n = 40\ngammas = {gammas}\nreps = 1\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
     def test_config_reader(self, tmp_path):
         cfg = tmp_path / "kv.cfg"
         cfg.write_text("a = 1\n# comment line\nb = two words  # trailing\n")

@@ -1,11 +1,15 @@
+import collections
+import inspect
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import ndtr
 
 from riskmono import (
@@ -26,6 +30,7 @@ from riskmono import (
     snr_star,
     solve_v,
 )
+from riskmono import profiles
 from riskmono.profiles import gamma_star
 
 from conftest import grid_monotonized_profile, scan_monotonized_profile
@@ -47,7 +52,7 @@ class TestSolveV:
         H = SpectralInputs(((0.5, 0.5), (2.0, 0.5)))
         for phi in (1.3, 2.0, 7.5):
             fp = solve_v(phi, H)
-            want = brentq(
+            want = scipy_brentq(
                 lambda v: 0.5 * v * 0.5 / (1 + v * 0.5)
                 + 0.5 * v * 2.0 / (1 + v * 2.0)
                 - 1.0 / phi,
@@ -216,7 +221,7 @@ def soft_threshold_residuals(phi, prior, sigma2, tau2):
             for theta, w in ((M, eps), (0.0, 1.0 - eps))
         )
 
-    alpha = brentq(lambda a: exceed(a) - 1.0 / phi, 0.0, 50.0, xtol=1e-15, rtol=8.9e-16)
+    alpha = scipy_brentq(lambda a: exceed(a) - 1.0 / phi, 0.0, 50.0, xtol=1e-15, rtol=8.9e-16)
     b = alpha * tau
 
     def mse(theta):
@@ -507,3 +512,174 @@ class TestGridMonotonizedProfile:
                     gaps.append(grid_monotonized_profile(gamma, n, k, k, profile) / mono - 1.0)
                 assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
                 assert 0.0 <= gaps[-1] < 0.01, gaps
+
+
+# ---------------------------------------------------------------------------
+# the in-house Brent root finder against scipy.optimize.brentq, its oracle
+
+
+# bound at import: the oracle fixture below patches profiles.brentq
+port_brentq = profiles.brentq
+
+
+def float_bits(x) -> bytes:
+    # distinguishes -0.0 from 0.0 and every NaN payload
+    assert isinstance(x, float)
+    return struct.pack("<d", x)
+
+
+def scipy_root(f, a, b, xtol):
+    return scipy_brentq(f, a, b, xtol=xtol, rtol=profiles._RTOL)
+
+
+def same_as_scipy(f, a, b, xtol):
+    """Run the port and scipy on f and assert that they evaluate f at the
+    same points, bit for bit and in order, and end alike.  Returns the
+    outcome: the root's bits, or the type of the exception raised."""
+    runs = []
+    for solver in (port_brentq, scipy_root):
+        points = []
+
+        def g(x):
+            points.append(float_bits(x))
+            return f(x)
+
+        try:
+            outcome = float_bits(solver(g, a, b, xtol))
+        except (ValueError, RuntimeError) as exc:
+            outcome = type(exc)
+        runs.append((outcome, points))
+    assert runs[0] == runs[1], (a, b, xtol)
+    return runs[0][0]
+
+
+def branch_lines():
+    """Line numbers of the step choices in profiles.brentq, by their text."""
+    lines, start = inspect.getsourcelines(port_brentq)
+    marks = {
+        "secant": "stry = -fcur * (xcur - xpre)",
+        "extrapolation": "stry = -fcur * (fblk * dblk",
+        "accepted": "spre, scur = scur, stry",
+        "bisection": "spre = scur = sbis",
+        "zero_division": "stry = INF",
+    }
+    found = {name: {start + i for i, line in enumerate(lines) if text in line} for name, text in marks.items()}
+    assert all(found.values()), found
+    return found
+
+
+def branches_taken(f, a, b, xtol):
+    code, hit = port_brentq.__code__, set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        port_brentq(f, a, b, xtol)
+    finally:
+        sys.settrace(previous)
+    return {name for name, lines in branch_lines().items() if lines & hit}
+
+
+@pytest.fixture
+def brent_oracle(monkeypatch):
+    """Route every root the profile engine finds through both solvers; each
+    call must agree bit for bit, root and evaluation points.  Returns the
+    count of calls per root-finding site (the qualified name of f)."""
+    calls = collections.Counter()
+
+    def checked(f, a, b, xtol):
+        root = same_as_scipy(f, a, b, xtol)
+        assert isinstance(root, bytes), (f.__qualname__, a, b, root)
+        calls[f.__qualname__] += 1
+        return struct.unpack("<d", root)[0]
+
+    monkeypatch.setattr(profiles, "brentq", checked)
+    return calls
+
+
+class TestBrentPort:
+    SITES = {
+        "solve_v.<locals>.g",
+        "_solve_alpha.<locals>.f",
+        "mn1ls_profile.<locals>.outer",
+        "snr_star.<locals>.f",
+        "_lagrange_candidates.<locals>.F",
+        "gamma_star.<locals>.f",
+    }
+
+    def test_every_call_site_over_wide_grids(self, brent_oracle):
+        spectra = (SpectralInputs.point_mass(1.0), SpectralInputs(((0.5, 0.5), (2.0, 0.5))),
+                   SpectralInputs(((0.1, 0.2), (1.0, 0.3), (9.0, 0.5))))
+        for H in spectra:
+            for phi in np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e6), 200)):
+                mn2ls_profile(float(phi), ModelEnergy(4.0, 1.0), H)
+        for eps, mag, sigma2 in ((0.1, 3.0, 1.0), (0.5, 1.0, 0.25), (0.02, 20.0, 4.0)):
+            for phi in np.exp(np.linspace(math.log(1.01), math.log(1e3), 20)):
+                mn1ls_profile(float(phi), Mn1lsPrior(eps, mag), sigma2)
+        for snr in (1.5, 4.0, 10.0, 11.0, 25.0, 200.0):
+            for gamma in np.exp(np.linspace(math.log(0.05), math.log(50.0), 24)):
+                optimize_onestep_iso(float(gamma), snr)
+        snr_star.__wrapped__()
+        for snr in (12.0, 40.0):
+            gamma_star(snr)
+        assert set(brent_oracle) == self.SITES
+        assert sum(brent_oracle.values()) > 2000
+
+    # (function, bracket, branches it takes at xtol = 1e-12)
+    SYNTHETIC = [
+        (lambda x: 3.0 * x - 1.0, (-2.0, 5.0), {"secant", "accepted"}),
+        (lambda x: math.exp(x) - 2.0, (0.1, 3.0), {"extrapolation", "accepted"}),
+        (lambda x: x * x - 2.0, (0.0, 2.0), {"extrapolation", "bisection"}),
+        (lambda x: (x - 0.3) ** 3 + 0.01 * (x - 0.3), (-1.0, 2.0), {"extrapolation", "bisection"}),
+        (lambda x: 1.0 if x > 0.3 else -1.0, (0.0, 1.0), {"bisection"}),
+        (lambda x: math.atan(1e3 * (x - 0.7)), (0.0, 1.0), {"secant"}),
+        # subnormal values: steps divide by a difference that rounds to 0
+        (lambda x: 1e-310 * math.atan(x - 0.7), (-2.0, 2.5), {"zero_division", "bisection"}),
+        (lambda x: 5e-324 if x > 0.3 else -5e-324, (-1.0, 2.0), {"bisection"}),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SYNTHETIC)))
+    @pytest.mark.parametrize("xtol", [1e-24, 1e-12, 1e-3])
+    def test_synthetic_functions_take_every_branch(self, case, xtol):
+        f, (a, b), branches = self.SYNTHETIC[case]
+        assert isinstance(same_as_scipy(f, a, b, xtol), bytes)
+        if xtol == 1e-12:
+            assert branches <= branches_taken(f, a, b, xtol)
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r, c = rng.uniform(-1.0, 1.0, 2)
+            f = lambda x: (x - r) * (1.0 + c * x * x) + 1e-3 * math.sin(40.0 * x)
+            a, b = r - rng.uniform(1e-9, 3.0), r + rng.uniform(1e-9, 3.0)
+            same_as_scipy(f, float(a), float(b), 1e-15)
+
+    @pytest.mark.parametrize("at", ["a", "b"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("end", [0.0, -0.0, 0.25])
+    def test_root_at_an_endpoint(self, at, zero, end):
+        a, b = (end, 1.0) if at == "a" else (-1.0, end)
+        f = lambda x: zero if x == end else x - end
+        assert same_as_scipy(f, a, b, 1e-12) == float_bits(end)
+
+    @pytest.mark.parametrize(
+        "f, a, b, error",
+        [
+            (lambda x: x * x + 1.0, -1.0, 2.0, ValueError),  # same signs
+            (lambda x: 1e-200, 0.0, 1.0, ValueError),  # same signs, product underflows
+            (lambda x: math.nan, 0.0, 1.0, ValueError),  # NaN at a
+            (lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0, ValueError),  # NaN at b
+            (lambda x: math.nan if x == 1.0 else 0.0, 0.0, 1.0, ValueError),  # root at a, NaN at b
+            (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, ValueError),
+            (lambda x: (x - 0.3) ** 3, -1.0, 2.0, RuntimeError),  # a triple root: 100 iterations
+        ],
+    )
+    def test_error_parity(self, f, a, b, error):
+        assert same_as_scipy(f, a, b, 1e-15) is error

@@ -198,6 +198,13 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_cfg(procedure="mystery")
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_gamma_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(gamma_grid=(0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(gamma_grid=(bad,))
+
 
 class TestThreadEnvironments:
     """Each run is a fresh process with the thread counts set before numpy
