@@ -13,7 +13,8 @@ workers and pickles their rows: every CSV column plus `mean_oracle_risk`,
 `diff A B` reports, per base kind, how many runs are bit-identical and the
 largest change in candidate coefficients, in candidate true risk, in the
 selected true risk, and the number of changed selections; then, per sweep
-case, how many rows are bit-identical.
+case, how many rows are bit-identical.  It exits 1 when any run or sweep row
+differs.
 
     PYTHONPATH=src python scripts/compare_fits.py dump before.pkl
     PYTHONPATH=src python scripts/compare_fits.py diff before.pkl after.pkl
@@ -141,7 +142,8 @@ def _same(run_a, run_b):
     return True
 
 
-def diff(path_a, path_b):
+def diff(path_a, path_b) -> bool:
+    """Print the comparison; True when every run and sweep row is identical."""
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
     with open(path_b, "rb") as fh:
@@ -150,6 +152,7 @@ def diff(path_a, path_b):
         raise SystemExit("the dumps hold different runs")
     print("base,runs,identical,max_coef_change,max_candidate_risk_change,"
           "max_selected_risk_change,selections_changed")
+    identical = True
     for kind in BASES:
         keys = [k for k in a["runs"] if k[0] == kind]
         same = changed = 0
@@ -165,13 +168,17 @@ def diff(path_a, path_b):
             sel_risk = max(sel_risk, abs(_risk(run_a[2], beta0) - _risk(run_b[2], beta0)))
             changed += run_a[1] != run_b[1]
         print(f"{kind},{len(keys)},{same},{coef:.3e},{risk:.3e},{sel_risk:.3e},{changed}")
+        identical &= same == len(keys)
     if a["sweeps"].keys() != b["sweeps"].keys():
         raise SystemExit("the dumps hold different sweeps")
     print("sweep,rows,identical")
     for name, rows_a in a["sweeps"].items():
         rows_b = b["sweeps"][name]
         same = sum(_row_bits(ra) == _row_bits(rb) for ra, rb in zip(rows_a, rows_b))
-        print(f"{name},{max(len(rows_a), len(rows_b))},{same}")
+        rows = max(len(rows_a), len(rows_b))
+        print(f"{name},{rows},{same}")
+        identical &= same == rows
+    return identical
 
 
 def _row_bits(row):
@@ -191,8 +198,8 @@ def main():
     args = ap.parse_args()
     if args.command == "dump":
         dump(args.out)
-    else:
-        diff(args.a, args.b)
+    elif not diff(args.a, args.b):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -63,4 +63,4 @@ from .risk_estimation import (
     mom_batch_count,
     oracle_inequalities_hold,
 )
-from .sweep import CurveTable, SweepConfig, run_sweep
+from .sweep import SweepConfig, run_sweep

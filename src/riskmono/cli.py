@@ -27,36 +27,35 @@ from .profiles import (
 from .risk_estimation import AVG, Mom, estimate_risk_avg, median_of_means
 from .sweep import SweepConfig, run_sweep
 
-_BASE_ALIASES = {
-    "mn2": "mn2ls",
-    "mn2ls": "mn2ls",
-    "mn1": "mn1ls",
-    "mn1ls": "mn1ls",
-    "ridge": "ridge",
-    "lasso": "lasso",
-    "null": "null",
-}
+_BASE_ALIASES = {"mn2": "mn2ls", "mn1": "mn1ls"}
 
 
 def parse_gamma_grid(spec: str) -> tuple[float, ...]:
-    """Grid spec: `a:b:klog` / `a:b:klin` (endpoints included) or a comma list."""
+    """Grid spec: `a:b:klog` / `a:b:klin` (endpoints included) or a comma
+    list.  ConfigError unless the grid is nonempty, finite and positive."""
     spec = spec.strip()
     if ":" in spec:
-        lo_s, hi_s, count_s = spec.split(":")
+        fields = spec.split(":")
+        if len(fields) != 3:
+            raise ConfigError(f"gamma range {spec!r} needs three fields, a:b:k")
+        lo_s, hi_s, count_s = fields
         scale = "lin"
         for suffix in ("log", "lin"):
             if count_s.endswith(suffix):
                 scale = suffix
                 count_s = count_s[: -len(suffix)]
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-        if count < 1 or lo <= 0 or hi < lo:
-            raise ConfigError(f"bad gamma grid {spec!r}")
+        if count < 1 or not 0 < lo <= hi < math.inf:
+            raise ConfigError(f"gamma range {spec!r} needs finite 0 < a <= b and k >= 1")
         if count == 1:
             return (lo,)
         if scale == "log":
             return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
         return tuple(np.linspace(lo, hi, count))
-    return tuple(sorted(float(tok) for tok in spec.split(",") if tok.strip()))
+    grid = tuple(sorted(float(tok) for tok in spec.split(",") if tok.strip()))
+    if not grid or not all(0 < g < math.inf for g in grid):
+        raise ConfigError(f"gamma grid must be nonempty, finite and positive, got {spec!r}")
+    return grid
 
 
 def parse_centering(spec: str):
@@ -69,10 +68,9 @@ def parse_centering(spec: str):
 
 
 def parse_base(name: str, lam: float | None) -> BaseProcedure:
-    kind = _BASE_ALIASES.get(name.strip().lower())
-    if kind is None:
-        raise ConfigError(f"unknown base procedure {name!r}")
-    return BaseProcedure(kind, lam)  # ValueError unless ridge/lasso get lam > 0
+    kind = name.strip().lower()
+    # ValueError for an unknown kind, or unless ridge/lasso get lam > 0
+    return BaseProcedure(_BASE_ALIASES.get(kind, kind), lam)
 
 
 def read_config(path) -> dict:
@@ -114,15 +112,12 @@ def _config_to_sweep(values: dict, overrides: dict) -> SweepConfig:
         model = DataModel.sparse(1, need("epsilon", float), need("magnitude", float), sigma2)
     else:
         raise ConfigError(f"model must be dense or sparse, got {model_kind!r}")
-    proc = get("proc", default="base").lower()
-    if proc not in ("base", "zero", "one"):
-        raise ConfigError(f"proc must be base/zero/one, got {proc!r}")
     cfg = SweepConfig(
         n=need("n", int),
         gamma_grid=need("gammas", parse_gamma_grid),
         reps=need("reps", int),
         model=model,
-        procedure=proc,
+        procedure=get("proc", default="base").lower(),
         base=parse_base(get("base", default="mn2"), get("lambda", float)),
         mono=MonotonizeConfig(
             M=get("m", int, 1),

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class Dataset:
 
     features: np.ndarray
     response: np.ndarray
+    # row_gram()'s memo; cached_property's lock would serialize all instances
+    _row_gram: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -71,6 +73,12 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.features.shape[1]
+
+    def row_gram(self) -> np.ndarray:
+        """X X', formed on the first call and kept for the next ones."""
+        if self._row_gram is None:
+            object.__setattr__(self, "_row_gram", _readonly(self.features @ self.features.T))
+        return self._row_gram
 
     def rows(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.intp)

@@ -110,7 +110,7 @@ def _bag(M: int, seed: int, tag: str, fit_draw) -> LinearPredictor:
 
 
 def bagged_ingredient(
-    base: BaseProcedure, train: Dataset, k: int, M: int, seed: int, cache: dict
+    base: BaseProcedure, train: Dataset, k: int, M: int, seed: int
 ) -> LinearPredictor:
     """Coefficient average of the base fit on M independent size-k subsamples.
 
@@ -119,49 +119,49 @@ def bagged_ingredient(
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return _bag(
-        M, seed, "bag", lambda s: base.fit_rows(train, subsample_indices(train.n, k, s), cache)
+        M, seed, "bag", lambda s: base.fit(train, subsample_indices(train.n, k, s)).coefficients
     )
 
 
 def onestep_ingredient(
-    base: BaseProcedure, train: Dataset, idx1: np.ndarray, idx2: np.ndarray, cache: dict
+    base: BaseProcedure, train: Dataset, idx1: np.ndarray, idx2: np.ndarray
 ) -> LinearPredictor:
     """Base fit on rows idx1 plus an MN2LS fit to its residuals on rows idx2.
 
     An empty idx2 means no adjustment and returns the base fit.
     """
-    pilot = base.fit_rows(train, idx1, cache)
+    pilot = base.fit(train, idx1)
     if idx2.size == 0:
-        return LinearPredictor(pilot)
-    resid = train.response[idx2] - train.features[idx2] @ pilot
-    adjust = BaseProcedure.mn2ls().fit_rows(train, idx2, cache, response=resid)
-    return LinearPredictor(pilot + adjust)
+        return pilot
+    resid = train.response[idx2] - train.features[idx2] @ pilot.coefficients
+    adjust = BaseProcedure.mn2ls().fit(train, idx2, response=resid)
+    return LinearPredictor(pilot.coefficients + adjust.coefficients)
 
 
-def _candidate(base, cfg, cache, xi1, n1, xi2=0, n2=0):
+def _candidate(base, cfg, xi1, n1, xi2=0, n2=0):
     """Candidate fit train -> predictor.  With xi2 = 0 it is zero-step
     candidate xi1, the bagged size-n1 ingredient under seed (zs, xi1), and
     one-step's (xi1, 0) rows are these same fits.  With xi2 >= 1 it averages
     the one-step ingredient over M disjoint (n1, n2) row pairs."""
     if xi2 == 0:
         seed = child_seed(cfg.seed, "zs", xi1)
-        return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed, cache)
+        return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed)
     seed = child_seed(cfg.seed, "os", xi1, xi2)
 
     def fit(train):
         def draw(s):
             idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, s)
-            return onestep_ingredient(base, train, idx1, idx2, cache).coefficients
+            return onestep_ingredient(base, train, idx1, idx2).coefficients
         return _bag(cfg.M, seed, "pair", draw)
     return fit
 
 
 def _select(data: Dataset, cfg: MonotonizeConfig, candidates):
-    """Cross-validated selection over candidates(n_te, block, cache), a dict
+    """Cross-validated selection over candidates(n_te, block), a dict
     index -> (train -> predictor), plus the null predictor when configured.
-    The cache holds the row gram that every candidate of the run shares."""
+    Every candidate fits on rows of the one training split."""
     n_te = cfg.resolve_n_te(data.n)
-    fits = candidates(n_te, cfg.resolve_block(data.n), {})
+    fits = candidates(n_te, cfg.resolve_block(data.n))
     if cfg.include_null:
         fits[NULL_INDEX] = BaseProcedure.null().fit
     return cross_validate(CandidateFamily(tuple(fits), fits.__getitem__), data, n_te, cfg.cen,
@@ -173,8 +173,8 @@ def zero_step(
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over bagged subsample sizes (plus the null
     predictor when configured)."""
-    return _select(data, cfg, lambda n_te, block, cache: {
-        xi: _candidate(base, cfg, cache, xi, k) for xi, k in zero_step_grid(data.n, n_te, block)
+    return _select(data, cfg, lambda n_te, block: {
+        xi: _candidate(base, cfg, xi, k) for xi, k in zero_step_grid(data.n, n_te, block)
     })
 
 
@@ -184,7 +184,7 @@ def one_step(
     """Cross-validated selection over disjoint split pairs with the MN2LS
     residual adjustment.  The (xi1, 0) rows carry no adjustment: they are the
     zero-step candidates xi1 themselves."""
-    return _select(data, cfg, lambda n_te, block, cache: {
-        (xi1, xi2): _candidate(base, cfg, cache, xi1, n1, xi2, n2)
+    return _select(data, cfg, lambda n_te, block: {
+        (xi1, xi2): _candidate(base, cfg, xi1, n1, xi2, n2)
         for xi1, xi2, n1, n2 in one_step_grid(data.n, n_te, block)
     })

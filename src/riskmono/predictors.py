@@ -12,6 +12,8 @@ from .core import Dataset, LinearPredictor, SolverError
 
 # pseudoinverse rank cutoff: singular values <= RTOL_SCALE*max(n,p)*s_max drop
 RTOL_SCALE = 1e-12
+# Cholesky diagonal spread (min/max) at or below which mn2ls takes the SVD route
+CHOL_DIAG_RATIO = 1e-5
 # lasso homotopy, relative to lam_max: knot ties, and the optimality residual
 # beyond which a fit is a SolverError
 TIE_RTOL, KKT_RTOL = 1e-10, 1e-6
@@ -21,24 +23,27 @@ def fit_mn2ls(data: Dataset) -> LinearPredictor:
     """Minimum l2-norm least squares (X'X/m)^+ (X'Y/m).
 
     Generic full-rank inputs take a Cholesky gram solve; anything the
-    factorization or its residual check flags as (near-)rank-deficient falls
-    back to the SVD route (LAPACK gelsd) with singular values
+    factorization or its conditioning check flags as (near-)rank-deficient
+    falls back to the SVD route (LAPACK gelsd) with singular values
     s <= rtol*s_max treated as zero, rtol = 1e-12 * max(n, p).
     """
-    beta = _mn2ls_cholesky(data.features, data.response)
-    if beta is not None:
-        return LinearPredictor(beta)
-    rcond = RTOL_SCALE * max(data.n, data.p)
-    beta, *_ = np.linalg.lstsq(data.features, data.response, rcond=rcond)
-    return LinearPredictor(beta)
+    return LinearPredictor(_mn2ls(data.features, data.response))
+
+
+def _mn2ls(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+    """Cholesky on the smaller side's gram, else the SVD route.  `gram`
+    supplies a precomputed row gram X X' for the n < p side."""
+    beta = _mn2ls_cholesky(X, y, gram)
+    if beta is None:
+        beta, *_ = np.linalg.lstsq(X, y, rcond=RTOL_SCALE * max(X.shape))
+    return beta
 
 
 def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None):
     """Full-rank fast path: solve the gram system on the smaller side.
     Returns None when the system looks (near-)rank-deficient; a rank-deficient
     gram solve can satisfy the normal equations without being min-norm, so the
-    guard is on conditioning, not on the residual.  `gram` supplies a
-    precomputed row gram X X' for the n < p side.  The solves release the
+    guard is on conditioning, not on the residual.  The solves release the
     GIL, so sweep workers overlap."""
     n, p = X.shape
     try:
@@ -59,11 +64,10 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
     return beta
 
 
-def _well_conditioned(chol: np.ndarray, ratio: float = 1e-5) -> bool:
-    # diag(L) spread approximates sqrt(cond) of the gram matrix; anything
-    # near the rank cutoff goes to the SVD route instead
+def _well_conditioned(chol: np.ndarray) -> bool:
+    # diag(L) spread approximates sqrt(cond) of the gram matrix
     d = np.abs(np.diag(chol))
-    return d.min() > ratio * d.max()
+    return d.min() > CHOL_DIAG_RATIO * d.max()
 
 
 def fit_ridge(data: Dataset, lam: float) -> LinearPredictor:
@@ -230,7 +234,16 @@ class BaseProcedure:
     def null(cls):
         return cls("null")
 
-    def fit(self, data: Dataset) -> LinearPredictor:
+    def fit(self, data: Dataset, rows=None, response=None) -> LinearPredictor:
+        """The fit on rows `rows` of `data` (all when None), with `response`
+        in place of their responses (residual fits).  mn2ls on fewer rows than
+        columns solves on a principal submatrix of `data.row_gram()`."""
+        if rows is not None or response is not None:
+            X = data.features if rows is None else data.features[rows]
+            y = data.response[rows] if response is None else response
+            if self.kind == "mn2ls" and rows is not None and X.shape[0] < data.p:
+                return LinearPredictor(_mn2ls(X, y, data.row_gram()[rows][:, rows]))
+            data = Dataset(X, y)
         if self.kind == "mn2ls":
             return fit_mn2ls(data)
         if self.kind == "mn1ls":
@@ -240,25 +253,3 @@ class BaseProcedure:
         if self.kind == "lasso":
             return fit_lasso(data, self.lam)
         return fit_null(data)
-
-    def fit_rows(
-        self, train: Dataset, idx: np.ndarray, cache: dict, response=None
-    ) -> np.ndarray:
-        """Coefficients of the fit on rows `idx` of `train`.
-
-        `response` overrides the responses of those rows (residual fits).
-        `cache` belongs to one run whose candidates all subsample `train`.
-        For mn2ls with p > len(idx), X_sub X_sub' is a principal submatrix of
-        the cached row gram X X', so the Cholesky fast path starts from it;
-        when that is (near-)singular the generic fit on the subset decides.
-        Every other kind fits on the subset directly.
-        """
-        X = train.features[idx]
-        y = train.response[idx] if response is None else response
-        if self.kind == "mn2ls" and train.p > idx.size:
-            if "row_gram" not in cache:
-                cache["row_gram"] = train.features @ train.features.T
-            beta = _mn2ls_cholesky(X, y, cache["row_gram"][idx][:, idx])
-            if beta is not None:
-                return beta
-        return self.fit(Dataset(X, y)).coefficients

@@ -51,6 +51,17 @@ class TestProfileCommand:
         risks = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(1.0 < r < 4.0 for r in risks)
 
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [("2,inf", "finite"), ("0.5,nan", "finite"), ("1:inf:3log", "finite"),
+         ("1:2", "'1:2' needs three fields")],
+    )
+    def test_bad_grid_is_an_error(self, capsys, gamma, message):
+        assert main(["profile", "--kind", "mn2ls", "--gamma", gamma]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     CONFIG = """
@@ -118,6 +129,16 @@ seed = 3
         cfg.write_text(f"n = 40\ngammas = 0.5,2\nreps = 2\nbase = {base}\n{lam}")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("proc", "two"), ("base", "foo")])
+    def test_unknown_name_is_an_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "name.cfg"
+        cfg.write_text(f"n = 40\ngammas = 0.5,2\nreps = 1\n{key} = {value}\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(value) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("gammas", ["0.5,inf", "0.5,nan"])
     def test_non_finite_gamma_is_an_error(self, tmp_path, capsys, gammas):

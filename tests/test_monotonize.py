@@ -90,14 +90,14 @@ class TestBaggedIngredient:
     def test_single_draw_equals_plain_fit(self, rng):
         data, _ = random_dataset(rng, 20, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 12, M=1, seed=5, cache={})
+        bag = bagged_ingredient(base, data, 12, M=1, seed=5)
         sub = data.rows(subsample_indices(data.n, 12, child_seed(5, "bag", 0)))
         np.testing.assert_array_equal(bag.coefficients, base.fit(sub).coefficients)
 
     def test_full_size_subsample_is_degenerate(self, rng):
         data, _ = random_dataset(rng, 15, 3)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, data.n, M=4, seed=6, cache={})
+        bag = bagged_ingredient(base, data, data.n, M=4, seed=6)
         np.testing.assert_allclose(
             bag.coefficients, base.fit(data).coefficients, atol=1e-12
         )
@@ -105,7 +105,7 @@ class TestBaggedIngredient:
     def test_two_draws_average_exactly(self, rng):
         data, _ = random_dataset(rng, 25, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 15, M=2, seed=7, cache={})
+        bag = bagged_ingredient(base, data, 15, M=2, seed=7)
         draws = [subsample_indices(data.n, 15, child_seed(7, "bag", j)) for j in (0, 1)]
         parts = [base.fit(data.rows(idx)).coefficients for idx in draws]
         np.testing.assert_allclose(bag.coefficients, np.mean(parts, axis=0), atol=1e-12)
@@ -115,7 +115,7 @@ class TestOnestepIngredient:
     def test_empty_second_set_returns_base_fit(self, rng):
         data, _ = random_dataset(rng, 10, 3)
         base = BaseProcedure.mn2ls()
-        out = onestep_ingredient(base, data, np.arange(10), np.arange(0), {})
+        out = onestep_ingredient(base, data, np.arange(10), np.arange(0))
         np.testing.assert_array_equal(out.coefficients, base.fit(data).coefficients)
 
     def test_zero_residuals_mean_zero_adjustment(self, rng):
@@ -124,7 +124,7 @@ class TestOnestepIngredient:
         X2 = rng.standard_normal((4, 5))
         d1 = Dataset(np.eye(5), beta0)  # mn2ls recovers beta0 exactly
         d2 = Dataset(X2, X2 @ beta0)
-        out = onestep_ingredient(BaseProcedure.mn2ls(), *stack_datasets(d1, d2), {})
+        out = onestep_ingredient(BaseProcedure.mn2ls(), *stack_datasets(d1, d2))
         np.testing.assert_allclose(out.coefficients, beta0, atol=1e-9)
 
     def test_matches_closed_form_representation(self, rng):
@@ -135,7 +135,7 @@ class TestOnestepIngredient:
             p = int(rng.integers(2, 25))
             d1, _ = random_dataset(rng, n1, p)
             d2, _ = random_dataset(rng, n2, p)
-            direct = onestep_ingredient(base, *stack_datasets(d1, d2), {}).coefficients
+            direct = onestep_ingredient(base, *stack_datasets(d1, d2)).coefficients
             closed = onestep_ingredient_closed_form(base, d1, d2).coefficients
             assert np.max(np.abs(direct - closed)) < 1e-8
 
@@ -204,6 +204,22 @@ class TestOneStep:
         assert t1.estimates() == t2.estimates()
 
 
+class TestRowGram:
+    @pytest.mark.parametrize("proc", [zero_step, one_step], ids=lambda f: f.__name__)
+    def test_formed_once_per_training_split(self, rng, monkeypatch, proc):
+        # p = 80 exceeds every subset size, so every mn2ls fit reads the gram
+        data, _ = random_dataset(rng, 60, 80)
+        grams = []
+        row_gram = Dataset.row_gram
+        monkeypatch.setattr(
+            Dataset, "row_gram", lambda self: grams.append(row_gram(self)) or grams[-1]
+        )
+        proc(data, BaseProcedure.mn2ls(), MonotonizeConfig(M=2, block=8, n_te=10, seed=17))
+        # every fit reads the same X X' of the one 50-row training split
+        assert len(grams) > 1 and all(g is grams[0] for g in grams)
+        assert grams[0].shape == (50, 50)
+
+
 def _cv_train(data, cfg):
     """The training split cross_validate fits every candidate on."""
     train, _ = split_train_test(data, cfg.n_te, child_seed(cfg.seed, "cv-split"))
@@ -230,7 +246,7 @@ def _onestep_by_hand(base, train, n1, n2, M, seed):
         idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, child_seed(seed, "pair", j))
         pilot = base.fit(train.rows(idx1)).coefficients
         resid = train.response[idx2] - train.features[idx2] @ pilot
-        coefs.append(pilot + BaseProcedure.mn2ls().fit_rows(train, idx2, {}, response=resid))
+        coefs.append(pilot + BaseProcedure.mn2ls().fit(train, idx2, response=resid).coefficients)
     return np.mean(coefs, axis=0)
 
 

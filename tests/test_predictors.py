@@ -9,6 +9,7 @@ from riskmono import (
     BaseProcedure,
     Dataset,
     SolverError,
+    _lapack,
     fit_lasso,
     fit_mn1ls,
     fit_mn2ls,
@@ -340,15 +341,18 @@ class TestNullAndDispatch:
             BaseProcedure("mn2ls", 0.1)
 
 
+def _repeated_row_train(rng):
+    # n = 45 rows, p = 40; row 44 repeats row 3, so any subset holding both
+    # has a singular row gram and takes the SVD route
+    X = rng.standard_normal((45, 40))
+    X[44] = X[3]
+    return Dataset(X, rng.standard_normal(45))
+
+
 class TestFitRows:
     def test_mn2ls_matches_generic_fit_on_rows(self, rng, monkeypatch):
-        # n = 45 rows, p = 40; row 44 repeats row 3, so any subset holding
-        # both has a singular row gram and must fall back to the generic fit
-        X = rng.standard_normal((45, 40))
-        X[44] = X[3]
-        train = Dataset(X, rng.standard_normal(45))
+        train = _repeated_row_train(rng)
         base = BaseProcedure.mn2ls()
-        cache = {}
         calls = []
         monkeypatch.setattr(
             predictors, "fit_mn2ls", lambda data: calls.append(data.n) or fit_mn2ls(data)
@@ -357,31 +361,49 @@ class TestFitRows:
         subsets = [
             np.sort(rng.choice(clean, 20, replace=False)),  # p > k: row gram
             clean[:39],  # p > k, just below p: row gram
-            np.union1d(clean[:38], [44]),  # 39 rows with a repeat: fallback
+            np.union1d(clean[:38], [44]),  # 39 rows with a repeat: row gram, then SVD
             np.arange(45),  # p < k: generic fit
         ]
         for idx in subsets:
             want = fit_mn2ls(train.rows(idx)).coefficients
-            got = base.fit_rows(train, idx, cache)
+            got = base.fit(train, idx).coefficients
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-        assert calls == [39, 45]
-        assert cache["row_gram"].shape == (45, 45)
+        assert calls == [45]
+        assert train._row_gram.shape == (45, 45)
+
+    def test_rejected_row_gram_goes_straight_to_svd(self, rng, monkeypatch):
+        train = _repeated_row_train(rng)
+        idx = np.union1d(np.arange(38), [44])
+        factored, solved = [], []
+        cho_factor, lstsq = _lapack.cho_factor, np.linalg.lstsq
+        monkeypatch.setattr(
+            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+        )
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: solved.append(a[0].shape) or lstsq(*a, **k)
+        )
+        got = BaseProcedure.mn2ls().fit(train, idx).coefficients
+        assert factored == [(39, 39)]
+        assert solved == [(39, 40)]
+        want, *_ = lstsq(train.features[idx], train.response[idx], rcond=1e-12 * 40)
+        np.testing.assert_array_equal(got, want)
 
     def test_response_override(self, rng):
         train, _ = random_dataset(rng, 30, 50)
         idx = np.arange(5, 25)
         resid = rng.standard_normal(idx.size)
-        got = BaseProcedure.mn2ls().fit_rows(train, idx, {}, response=resid)
+        got = BaseProcedure.mn2ls().fit(train, idx, response=resid).coefficients
         want = fit_mn2ls(Dataset(train.features[idx], resid)).coefficients
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "base", [BaseProcedure.ridge(0.3), BaseProcedure.null(), BaseProcedure.mn1ls()]
+        "base",
+        [BaseProcedure.ridge(0.3), BaseProcedure.null(), BaseProcedure.mn1ls(),
+         BaseProcedure.lasso(0.05)],
     )
     def test_other_kinds_fit_the_subset(self, rng, base):
         train, _ = random_dataset(rng, 20, 30)
         idx = np.array([0, 2, 3, 7, 11, 19])
-        cache = {}
-        got = base.fit_rows(train, idx, cache)
+        got = base.fit(train, idx).coefficients
         np.testing.assert_array_equal(got, base.fit(train.rows(idx)).coefficients)
-        assert cache == {}
+        assert train._row_gram is None
