@@ -7,15 +7,8 @@ import math
 
 import numpy as np
 
-from riskmono import (
-    Mn1lsPrior,
-    ModelEnergy,
-    mn1ls_profile,
-    mn2ls_profile,
-    monotonize_curve,
-    optimize_onestep_iso,
-    solve_v,
-)
+from riskmono import Mn1lsPrior, mn1ls_profile, monotonize_curve, solve_v
+from riskmono.profiles import reference_profiles
 
 
 def main():
@@ -27,10 +20,8 @@ def main():
     ap.add_argument("--out", default="profiles.csv")
     args = ap.parse_args()
 
-    energy = ModelEnergy(args.rho2, args.sigma2)
     prior = Mn1lsPrior(args.eps, math.sqrt(args.rho2 / args.eps))
-    snr = args.rho2 / args.sigma2
-    base = lambda z: mn2ls_profile(z, energy)
+    base, onestep = reference_profiles("onestep", args.sigma2, args.rho2)
 
     gammas = np.exp(np.linspace(math.log(0.1), math.log(10.0), args.points))
     monotonized = monotonize_curve(gammas, base)
@@ -44,7 +35,7 @@ def main():
                 base(g),
                 mn1ls_profile(g, prior, args.sigma2),
                 mono,
-                (optimize_onestep_iso(g, snr).risk + 1.0) * args.sigma2,
+                onestep(g),
                 fp.v if fp else math.nan,
                 fp.tv if fp else math.nan,
                 fp.tvg if fp else math.nan,

@@ -17,14 +17,13 @@ from .profiles import (
     ISOTROPIC,
     Mn1lsPrior,
     ModelEnergy,
-    mn1ls_profile,
     mn2ls_profile,
     monotonize_curve,
-    optimize_onestep_iso,
+    reference_profiles,
     snr_star,
     solve_v,
 )
-from .risk_estimation import AVG, Mom, estimate_risk_avg, median_of_means
+from .risk_estimation import AVG, Mom, estimate_risk, median_of_means
 from .sweep import SweepConfig, run_sweep
 
 _BASE_ALIASES = {"mn2": "mn2ls", "mn1": "mn1ls"}
@@ -137,20 +136,8 @@ def _config_to_sweep(values: dict, overrides: dict) -> SweepConfig:
 
 def _cmd_profile(args) -> int:
     gammas = parse_gamma_grid(args.gamma)
-    sigma2 = args.sigma2
-    if args.kind == "mn2ls":
-        energy = ModelEnergy(args.rho2, sigma2)
-        base = lambda z: mn2ls_profile(z, energy)
-        analytic = base
-    elif args.kind == "mn1ls":
-        prior = Mn1lsPrior(args.eps, args.magnitude)
-        base = lambda z: mn1ls_profile(z, prior, sigma2)
-        analytic = base
-    else:  # onestep (isotropic, ridgeless base)
-        snr = args.rho2 / sigma2
-        energy = ModelEnergy(args.rho2, sigma2)
-        base = lambda z: mn2ls_profile(z, energy)
-        analytic = lambda z: (optimize_onestep_iso(z, snr).risk + 1.0) * sigma2
+    prior = Mn1lsPrior(args.eps, args.magnitude) if args.kind == "mn1ls" else None
+    base, analytic = reference_profiles(args.kind, args.sigma2, args.rho2, prior)
     lines = ["gamma,analytic,monotonized"]
     for g, mono in zip(gammas, monotonize_curve(gammas, base)):
         lines.append(f"{g:.12g},{analytic(g):.12g},{mono:.12g}")
@@ -213,7 +200,7 @@ def _cmd_selftest(args) -> int:
     d_again, _ = generate(model, 60, seed=7)
     checks.append(("generator determinism", np.array_equal(data.features, d_again.features)))
     tr, te = split_train_test(data, 10, child_seed(11, "demo"))
-    est = estimate_risk_avg(BaseProcedure.null().fit(tr), te)
+    est = estimate_risk(BaseProcedure.null().fit(tr), te)
     checks.append(("null-risk estimate finite", math.isfinite(est.value)))
     table, _ = zero_step(
         data, BaseProcedure.mn2ls(), MonotonizeConfig(block=8, n_te=12, seed=3)

@@ -43,14 +43,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not elementwise
 class Dataset:
     """Feature matrix (n rows, p columns) plus response vector (length n)."""
 
     features: np.ndarray
     response: np.ndarray
     # row_gram()'s memo; cached_property's lock would serialize all instances
-    _row_gram: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _row_gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -97,7 +97,7 @@ class Dataset:
         np.savetxt(path, out, delimiter=",", fmt="%.17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not elementwise
 class LinearPredictor:
     """Coefficient vector of a fitted linear rule (intercept fixed at zero)."""
 

@@ -77,7 +77,7 @@ class DataModel:
         return np.where(spikes, self.magnitude / math.sqrt(self.p * self.epsilon), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not elementwise
 class ConditionalSampler:
     """Law of (X0, Y0) conditional on a fixed signal vector; feeds the
     Monte-Carlo risk oracle."""

@@ -2,8 +2,9 @@
 #
 # Random-matrix fixed points for ridgeless least squares, the soft-threshold
 # (tau, alpha) system for the lassoless profile, the one-step split profile,
-# the optimized one-step risk under isotropic features, and the monotonized
-# profile map min_{zeta >= gamma} R(zeta).
+# the optimized one-step risk under isotropic features, the choice of the
+# reference profile a run is compared with, and the monotonized profile map
+# min_{zeta >= gamma} R(zeta).
 
 from __future__ import annotations
 
@@ -151,10 +152,6 @@ class ModelEnergy:
     def snr(self) -> float:
         return self.rho2 / self.sigma2
 
-    @property
-    def null_risk(self) -> float:
-        return self.rho2 + self.sigma2
-
 
 @dataclass(frozen=True)
 class FixedPointState:
@@ -267,20 +264,6 @@ def mn2ls_profile(
     return energy.rho2 * bias + energy.sigma2 * (var + 1.0)
 
 
-def mn2ls_profile_isotropic(phi: float, rho2: float, sigma2: float) -> float:
-    """Closed-form isotropic ridgeless profile (independent of the fixed-point
-    solver; kept as a second code path for the one-step iterated formula)."""
-    if not phi > 0.0:
-        raise ValueError(f"aspect ratio must be positive, got {phi}")
-    if math.isinf(phi):
-        return rho2 + sigma2
-    if phi == 1.0:
-        return INF
-    if phi < 1.0:
-        return sigma2 / (1.0 - phi)
-    return rho2 * (1.0 - 1.0 / phi) + sigma2 / (phi - 1.0) + sigma2
-
-
 # ---------------------------------------------------------------------------
 # one-step profile
 
@@ -314,19 +297,6 @@ def onestep_profile(
         + energy.sigma2 * (1.0 - upsilon_b)
         + energy.sigma2 * fp.tvg
     )
-
-
-def onestep_profile_iterated(
-    phi1: float, phi2: float, rho2: float, sigma2: float
-) -> float:
-    """Isotropic one-step risk via the iterated ridgeless formula: apply the
-    base profile at phi2 with the signal energy reduced to R(phi1) - sigma^2."""
-    base = mn2ls_profile_isotropic(phi1, rho2, sigma2)
-    if math.isinf(phi2):
-        return base
-    if math.isinf(base) and phi2 != 1.0 and phi2 > 1.0:
-        return INF
-    return mn2ls_profile_isotropic(phi2, base - sigma2, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +502,23 @@ def optimize_onestep_iso(gamma: float, snr: float) -> OneStepOptimum:
     return OneStepOptimum(gamma, z1, z2, over_val, branch)
 
 
-def gamma_star(snr: float) -> float:
-    """For snr above snr_star: the aspect ratio where the underparameterized
-    branch gamma/(1 - gamma) hands over to the constrained split optimum."""
-    if snr <= snr_star():
-        raise ValueError("gamma_star is defined for snr > snr_star()")
-
-    def f(g):
-        return g / (1.0 - g) - _overparam_optimum(g, snr)[0]
-
-    return brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-15)
+def reference_profiles(kind: str, sigma2: float, rho2: float | None, prior: Mn1lsPrior | None = None):
+    """(base profile, reference profile) for a profile kind.  "mn2ls" (the
+    ridgeless base at signal energy rho2) and "mn1ls" (the lassoless base
+    under `prior`) are their own reference; "onestep" pairs the ridgeless
+    base with the optimized one-step risk under isotropic features."""
+    if kind == "mn1ls":
+        base = lambda z: mn1ls_profile(z, prior, sigma2)
+        return base, base
+    energy = ModelEnergy(rho2, sigma2)
+    base = lambda z: mn2ls_profile(z, energy)
+    if kind == "mn2ls":
+        return base, base
+    if kind != "onestep":
+        raise ValueError(f"unknown profile kind {kind!r}")
+    snr = energy.snr
+    # optimize_onestep_iso gives the excess risk risk/sigma^2 - 1
+    return base, lambda z: (optimize_onestep_iso(z, snr).risk + 1.0) * sigma2
 
 
 # ---------------------------------------------------------------------------

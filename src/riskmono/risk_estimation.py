@@ -74,26 +74,15 @@ def median_of_means(values: np.ndarray, eta: float) -> float:
     return float((means[B // 2 - 1] + means[B // 2]) / 2.0)
 
 
-def estimate_risk_avg(pred: LinearPredictor, test: Dataset) -> RiskEstimate:
+def estimate_risk(pred: LinearPredictor, test: Dataset, cen: CenteringMethod = AVG) -> RiskEstimate:
+    """Test-set risk of `pred`: the mean loss (AVG) or the median of means
+    (Mom(eta)); InfeasibleEtaError when the test set has fewer rows than
+    MOM batches."""
     if test.n == 0:
         raise ValueError("test set is empty")
-    value = float(np.mean(loss_values(pred, test)))
-    return RiskEstimate(value, test.n, AVG)
-
-
-def estimate_risk_mom(
-    pred: LinearPredictor, test: Dataset, eta: float = 0.05
-) -> RiskEstimate:
-    if test.n == 0:
-        raise ValueError("test set is empty")
-    value = median_of_means(loss_values(pred, test), eta)
-    return RiskEstimate(value, test.n, Mom(eta))
-
-
-def estimate_risk(pred: LinearPredictor, test: Dataset, cen: CenteringMethod) -> RiskEstimate:
-    if isinstance(cen, Mom):
-        return estimate_risk_mom(pred, test, cen.eta)
-    return estimate_risk_avg(pred, test)
+    losses = loss_values(pred, test)
+    value = median_of_means(losses, cen.eta) if isinstance(cen, Mom) else float(np.mean(losses))
+    return RiskEstimate(value, test.n, cen)
 
 
 def mc_true_risk(

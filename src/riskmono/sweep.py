@@ -16,13 +16,7 @@ from .core import child_seed
 from .datagen import ConditionalSampler, DataModel, generate
 from .monotonize import MonotonizeConfig, one_step, zero_step
 from .predictors import BaseProcedure
-from .profiles import (
-    ModelEnergy,
-    mn1ls_profile,
-    mn2ls_profile,
-    monotonize_curve,
-    optimize_onestep_iso,
-)
+from .profiles import monotonize_curve, reference_profiles
 from .risk_estimation import closed_form_risk, mc_true_risk
 
 CSV_COLUMNS = (
@@ -134,26 +128,21 @@ def _replication(cfg: SweepConfig, gi: int, p: int, rep: int):
 def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
     """(analytic, monotonized_analytic) for each gamma of the grid, for the
     configured base and model; the monotonized column is one curve."""
-    model = cfg.model
-    sigma2 = model.sigma2
-    grid = cfg.gamma_grid
-    if cfg.base.kind == "mn2ls" and model.kind == "dense":
-        energy = ModelEnergy(model.rho2, sigma2)
-        base_profile = lambda z: mn2ls_profile(z, energy)
-    elif cfg.base.kind == "mn1ls" and model.kind == "sparse":
-        prior = model.mn1ls_prior()
-        base_profile = lambda z: mn1ls_profile(z, prior, sigma2)
+    model, grid = cfg.model, cfg.gamma_grid
+    if (cfg.base.kind, model.kind) == ("mn2ls", "dense"):
+        kind, prior = ("onestep" if cfg.procedure == "one" else "mn2ls"), None
+    elif (cfg.base.kind, model.kind) == ("mn1ls", "sparse"):
+        kind, prior = "mn1ls", model.mn1ls_prior()
     else:
         return [(math.nan, math.nan)] * len(grid)
+    base_profile, reference = reference_profiles(kind, model.sigma2, model.rho2, prior)
     monotonized = monotonize_curve(grid, base_profile)
-    if cfg.procedure == "base":
-        analytic = [base_profile(g) for g in grid]
-    elif cfg.procedure == "zero":
+    if cfg.procedure == "zero":
         analytic = monotonized
-    elif cfg.base.kind == "mn2ls":
-        analytic = [(optimize_onestep_iso(g, model.snr).risk + 1.0) * sigma2 for g in grid]
-    else:
+    elif cfg.procedure == "one" and kind == "mn1ls":  # no lassoless one-step profile
         analytic = [math.nan] * len(grid)
+    else:
+        analytic = [reference(g) for g in grid]
     return list(zip(analytic, monotonized))
 
 

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from riskmono import Dataset, LinearPredictor, fit_mn2ls, zero_step_grid
+from riskmono import profiles
+from riskmono.core import Dataset, LinearPredictor
+from riskmono.monotonize import zero_step_grid
+from riskmono.predictors import fit_mn2ls
 
 
 @pytest.fixture
@@ -156,3 +159,43 @@ def scan_monotonized_profile(gamma, profile, scan_points=400):
         if math.isfinite(cand) and cand < best:
             best = cand
     return min(best, best_inf)
+
+
+def mn2ls_profile_isotropic(phi, rho2, sigma2):
+    """Closed-form isotropic ridgeless profile, independent of the library's
+    fixed-point solver."""
+    if not phi > 0.0:
+        raise ValueError(f"aspect ratio must be positive, got {phi}")
+    if math.isinf(phi):
+        return rho2 + sigma2
+    if phi == 1.0:
+        return math.inf
+    if phi < 1.0:
+        return sigma2 / (1.0 - phi)
+    return rho2 * (1.0 - 1.0 / phi) + sigma2 / (phi - 1.0) + sigma2
+
+
+def onestep_profile_iterated(phi1, phi2, rho2, sigma2):
+    """Isotropic one-step risk via the iterated ridgeless formula: apply the
+    base profile at phi2 with the signal energy reduced to R(phi1) - sigma^2.
+    A second code path for the library's `onestep_profile`."""
+    base = mn2ls_profile_isotropic(phi1, rho2, sigma2)
+    if math.isinf(phi2):
+        return base
+    if math.isinf(base) and phi2 > 1.0:
+        return math.inf
+    return mn2ls_profile_isotropic(phi2, base - sigma2, sigma2)
+
+
+def gamma_star(snr):
+    """For snr above snr_star: the aspect ratio where the underparameterized
+    branch gamma/(1 - gamma) of the optimized one-step risk hands over to the
+    constrained split optimum.  Finds its root through `profiles.brentq`, so
+    a test that patches the library's root finder sees this call too."""
+    if snr <= profiles.snr_star():
+        raise ValueError("gamma_star is defined for snr > snr_star()")
+
+    def f(g):
+        return g / (1.0 - g) - profiles._overparam_optimum(g, snr)[0]
+
+    return profiles.brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-15)

@@ -12,42 +12,40 @@ import numpy as np
 import pytest
 
 from riskmono import (
-    AVG,
     BaseProcedure,
     DataModel,
     Dataset,
     Mn1lsPrior,
     ModelEnergy,
-    Mom,
     MonotonizeConfig,
     SweepConfig,
-    closed_form_risk,
-    cross_validate,
-    delta_diagnostics,
-    estimate_risk_avg,
-    estimate_risk_mom,
-    fit_mn1ls,
-    median_of_means,
     mn1ls_profile,
     mn2ls_profile,
-    mn2ls_profile_isotropic,
-    mom_batch_count,
-    monotonize_profile,
-    onestep_ingredient,
-    onestep_profile,
-    onestep_profile_iterated,
     optimize_onestep_iso,
-    oracle_inequalities_hold,
     run_sweep,
-    snr_star,
     solve_v,
 )
-from riskmono.cv_select import CandidateFamily
+from riskmono.cv_select import CandidateFamily, cross_validate
+from riskmono.monotonize import onestep_ingredient
+from riskmono.predictors import fit_mn1ls
+from riskmono.profiles import monotonize_profile, onestep_profile, snr_star
+from riskmono.risk_estimation import (
+    AVG,
+    Mom,
+    closed_form_risk,
+    delta_diagnostics,
+    estimate_risk,
+    median_of_means,
+    mom_batch_count,
+    oracle_inequalities_hold,
+)
 
 from conftest import (
     grid_monotonized_profile,
     l1_vertex_oracle,
+    mn2ls_profile_isotropic,
     onestep_ingredient_closed_form,
+    onestep_profile_iterated,
     random_dataset,
     stack_datasets,
 )
@@ -347,13 +345,13 @@ def test_ac11_mom_suite():
     rng = np.random.default_rng(111)
     losses = rng.exponential(2.0, size=57)
     data = Dataset(np.zeros((57, 1)), np.sqrt(losses))
-    from riskmono import LinearPredictor
+    from riskmono.core import LinearPredictor
 
     zero = LinearPredictor([0.0])
     eta1 = math.exp(-1.0 / 8.0)
     bitwise_ok = (
-        estimate_risk_mom(zero, data, eta=eta1).value
-        == estimate_risk_avg(zero, data).value
+        estimate_risk(zero, data, Mom(eta1)).value
+        == estimate_risk(zero, data).value
     )
     # concentration: heavy-tailed (lognormal) losses, finite variance
     eta = 0.05

@@ -62,6 +62,12 @@ class TestProfileCommand:
         assert captured.err.startswith("error:") and message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["mn2ls", "onestep", "mn1ls"])
+    def test_zero_noise_is_an_error(self, capsys, kind):
+        # onestep used to divide by sigma2 before checking it
+        assert main(["profile", "--kind", kind, "--sigma2", "0", "--gamma", "1,2"]) == 1
+        assert "noise energy must be > 0" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     CONFIG = """

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmono import (
+from riskmono.core import (
     Dataset,
     InvalidSplitError,
     InvalidSubsampleError,
     LinearPredictor,
     child_seed,
+    disjoint_pair_indices,
+    loss_values,
     split_train_test,
+    subsample_indices,
 )
-from riskmono.core import disjoint_pair_indices, loss_values, subsample_indices
+from riskmono.datagen import ConditionalSampler, DataModel
 
 
 def make_data(n, p=3, seed=0):
@@ -181,3 +184,20 @@ class TestChildSeed:
     def test_fits_in_63_bits(self):
         for i in range(100):
             assert 0 <= child_seed(12345, "t", i) < 2**63
+
+
+def test_array_holders_compare_by_identity():
+    # field-wise == would compare numpy arrays and raise "the truth value of
+    # an array ... is ambiguous"; inside a fit that ValueError would count as
+    # a failed candidate
+    X, y, beta = np.ones((3, 2)), np.arange(3.0), np.ones(2)
+    model = DataModel.dense(2, 1.0, 1.0)
+    for make in (
+        lambda: Dataset(X, y),
+        lambda: LinearPredictor(beta),
+        lambda: ConditionalSampler(model, beta),
+    ):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert a != b
+        assert a == a

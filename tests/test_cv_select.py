@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from riskmono import (
-    BaseProcedure,
-    CandidateFamily,
-    DataModel,
-    Dataset,
-    LinearPredictor,
+from riskmono import BaseProcedure, DataModel, Dataset, generate
+from riskmono.core import LinearPredictor
+from riskmono.cv_select import CandidateFamily, cross_validate, default_test_size
+from riskmono.risk_estimation import (
     closed_form_risk,
-    cross_validate,
-    default_test_size,
     delta_diagnostics,
-    generate,
     oracle_inequalities_hold,
 )
 

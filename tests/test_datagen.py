@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from riskmono import ConditionalSampler, DataModel, generate
+from riskmono import DataModel, generate
+from riskmono.datagen import ConditionalSampler
 
 
 class TestDenseModel:

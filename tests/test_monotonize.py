@@ -3,22 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmono import (
-    BaseProcedure,
+from riskmono import BaseProcedure, Dataset, MonotonizeConfig, one_step, zero_step
+from riskmono.core import child_seed, disjoint_pair_indices, split_train_test, subsample_indices
+from riskmono.monotonize import (
+    NULL_INDEX,
     ConfigError,
-    Dataset,
-    MonotonizeConfig,
     bagged_ingredient,
-    child_seed,
-    one_step,
     one_step_grid,
     onestep_ingredient,
-    split_train_test,
-    zero_step,
     zero_step_grid,
 )
-from riskmono.core import disjoint_pair_indices, subsample_indices
-from riskmono.monotonize import NULL_INDEX
 
 from conftest import onestep_ingredient_closed_form, random_dataset, stack_datasets
 

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmono import (
-    BaseProcedure,
-    Dataset,
-    SolverError,
-    _lapack,
-    fit_lasso,
-    fit_mn1ls,
-    fit_mn2ls,
-    fit_null,
-    fit_ridge,
-    predictors,
-)
+from riskmono import BaseProcedure, Dataset, _lapack, predictors
+from riskmono.core import SolverError
+from riskmono.predictors import fit_lasso, fit_mn1ls, fit_mn2ls, fit_null, fit_ridge
 
 from conftest import (
     l1_lp_oracle,

@@ -17,23 +17,29 @@ from riskmono import (
     Dataset,
     Mn1lsPrior,
     ModelEnergy,
-    SpectralInputs,
-    closed_form_risk,
     mn1ls_profile,
     mn2ls_profile,
-    mn2ls_profile_isotropic,
     monotonize_curve,
-    monotonize_profile,
-    onestep_profile,
-    onestep_profile_iterated,
     optimize_onestep_iso,
-    snr_star,
+    profiles,
     solve_v,
 )
-from riskmono import profiles
-from riskmono.profiles import gamma_star
+from riskmono.profiles import (
+    SpectralInputs,
+    monotonize_profile,
+    onestep_profile,
+    reference_profiles,
+    snr_star,
+)
+from riskmono.risk_estimation import closed_form_risk
 
-from conftest import grid_monotonized_profile, scan_monotonized_profile
+from conftest import (
+    gamma_star,
+    grid_monotonized_profile,
+    mn2ls_profile_isotropic,
+    onestep_profile_iterated,
+    scan_monotonized_profile,
+)
 
 INF = math.inf
 
@@ -386,6 +392,31 @@ class TestOptimizeOnestep:
         above = optimize_onestep_iso(min(0.999, gs * 1.02), snr)
         assert below.branch == "underparam"
         assert above.branch != "underparam"
+
+
+class TestReferenceProfiles:
+    GAMMAS = (0.3, 1.0, 1.7, 12.0, INF)
+
+    def test_base_kinds_are_their_own_reference(self):
+        energy, prior = ModelEnergy(4.0, 0.5), Mn1lsPrior(0.1, 3.0)
+        base, ref = reference_profiles("mn2ls", 0.5, 4.0)
+        assert base is ref
+        assert [base(g) for g in self.GAMMAS] == [mn2ls_profile(g, energy) for g in self.GAMMAS]
+        base, ref = reference_profiles("mn1ls", 0.5, None, prior)
+        assert base is ref
+        assert [base(g) for g in (0.5, 2.0)] == [mn1ls_profile(g, prior, 0.5) for g in (0.5, 2.0)]
+
+    def test_onestep_reference_is_the_optimum_as_a_risk(self):
+        base, ref = reference_profiles("onestep", 0.5, 4.0)
+        assert base(1.7) == mn2ls_profile(1.7, ModelEnergy(4.0, 0.5))
+        for g in self.GAMMAS[:-1]:
+            assert ref(g) == (optimize_onestep_iso(g, 8.0).risk + 1.0) * 0.5
+
+    def test_unknown_kind_and_bad_energy_rejected(self):
+        with pytest.raises(ValueError, match="unknown profile kind"):
+            reference_profiles("ridge", 1.0, 4.0)
+        with pytest.raises(ValueError, match="noise energy"):
+            reference_profiles("onestep", 0.0, 4.0)
 
 
 class TestMonotonizeProfile:

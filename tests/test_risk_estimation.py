@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmono import (
-    BaseProcedure,
-    ConditionalSampler,
-    DataModel,
-    Dataset,
+from riskmono import BaseProcedure, DataModel, Dataset, generate
+from riskmono.core import LinearPredictor
+from riskmono.datagen import ConditionalSampler
+from riskmono.risk_estimation import (
+    AVG,
     InfeasibleEtaError,
-    LinearPredictor,
     Mom,
     closed_form_risk,
     delta_diagnostics,
-    estimate_risk_avg,
-    estimate_risk_mom,
-    generate,
+    estimate_risk,
     mc_true_risk,
     median_of_means,
     mom_batch_count,
@@ -41,20 +38,20 @@ ZERO = LinearPredictor([0.0])
 
 class TestAvg:
     def test_mean_of_ones(self):
-        est = estimate_risk_avg(ZERO, loss_dataset([1.0, 1.0, 1.0]))
+        est = estimate_risk(ZERO, loss_dataset([1.0, 1.0, 1.0]))
         assert est.value == 1.0 and est.n_te == 3
 
     def test_perfect_interpolant(self):
         data = Dataset([[1.0], [2.0]], [3.0, 6.0])
-        est = estimate_risk_avg(LinearPredictor([3.0]), data)
+        est = estimate_risk(LinearPredictor([3.0]), data)
         assert est.value == 0.0
 
     def test_arithmetic_mean(self):
-        assert estimate_risk_avg(ZERO, loss_dataset([1.0, 3.0, 5.0])).value == 3.0
+        assert estimate_risk(ZERO, loss_dataset([1.0, 3.0, 5.0])).value == 3.0
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
-            estimate_risk_avg(ZERO, loss_dataset([]))
+            estimate_risk(ZERO, loss_dataset([]))
 
 
 class TestMom:
@@ -68,8 +65,8 @@ class TestMom:
         eta = eta_for_batches(1)
         assert mom_batch_count(eta) == 1
         data = loss_dataset(losses)
-        mom = estimate_risk_mom(ZERO, data, eta=eta)
-        avg = estimate_risk_avg(ZERO, data)
+        mom = estimate_risk(ZERO, data, Mom(eta))
+        avg = estimate_risk(ZERO, data)
         assert mom.value == avg.value
 
     def test_three_batches_oracle(self):
@@ -93,6 +90,17 @@ class TestMom:
     def test_infeasible_eta(self):
         with pytest.raises(InfeasibleEtaError):
             median_of_means(np.ones(3), 1e-6)
+        with pytest.raises(InfeasibleEtaError):
+            estimate_risk(ZERO, loss_dataset([1.0, 2.0, 3.0]), Mom(1e-6))
+
+    def test_empty_test_set_rejected(self):
+        with pytest.raises(ValueError, match="test set is empty"):
+            estimate_risk(ZERO, loss_dataset([]), Mom(0.05))
+
+    def test_estimate_carries_its_centering(self):
+        data = loss_dataset([1.0, 3.0, 5.0])
+        assert estimate_risk(ZERO, data, Mom(0.9)).method == Mom(0.9)
+        assert estimate_risk(ZERO, data).method == AVG
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 9999))

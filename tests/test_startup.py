@@ -62,7 +62,7 @@ def test_profile_command_loads_no_scipy(tmp_path, kind):
 
 def test_first_fit_loads_scipy_lapack_but_not_optimize(tmp_path):
     script = (
-        "from riskmono import Dataset, fit_mn2ls\n"
+        "from riskmono import Dataset\nfrom riskmono.predictors import fit_mn2ls\n"
         "rng = np.random.default_rng(0)\n"
         "fit_mn2ls(Dataset(rng.standard_normal((20, 30)), rng.standard_normal(20)))\n"
         "print(json.dumps(scipy_modules()))"
@@ -77,7 +77,7 @@ def test_pin_before_any_fit_reaches_scipy_openblas(tmp_path):
     # a pin entered before LAPACK is bound must still cover the OpenBLAS that
     # the first Cholesky inside it loads
     script = (
-        "from riskmono import Dataset, _lapack, fit_mn2ls\n"
+        "from riskmono import Dataset, _lapack\nfrom riskmono.predictors import fit_mn2ls\n"
         "rng = np.random.default_rng(0)\n"
         "with _lapack.one_blas_thread():\n"
         "    at_entry = blas_threads()\n"
