@@ -64,7 +64,6 @@ class TestProfileCommand:
 
     @pytest.mark.parametrize("kind", ["mn2ls", "onestep", "mn1ls"])
     def test_zero_noise_is_an_error(self, capsys, kind):
-        # onestep used to divide by sigma2 before checking it
         assert main(["profile", "--kind", kind, "--sigma2", "0", "--gamma", "1,2"]) == 1
         assert "noise energy must be > 0" in capsys.readouterr().err
 
