@@ -190,7 +190,7 @@ class OneStepOptimum:
     zeta1: float
     zeta2: float
     risk: float
-    branch: str = ""
+    branch: str
 
     def __post_init__(self):
         budget = 1.0 / self.gamma + 1e-10
@@ -421,42 +421,18 @@ def snr_star() -> float:
     return brentq(f, 1.0 + 1e-9, 100.0, xtol=1e-14)
 
 
-def _lagrange_candidates(gamma: float, s: float):
-    """Roots of the stationarity equation for the constrained split problem,
-    substituting 1/zeta2 = 1/gamma - 1/zeta1.  Multiple roots can occur near
-    case boundaries, so every bracketed root is returned for evaluation."""
-
-    def zeta2_of(z1):
-        return 1.0 / (1.0 / gamma - 1.0 / z1)
-
-    def F(z1):
-        z2 = zeta2_of(z1)
-        lhs = s * (1.0 / z1 - 1.0 / z2)
-        rhs = (
-            z1**2 / (z1 - 1.0) ** 2
-            - z2**2 / (z2 - 1.0) ** 2
-            + (1.0 / (z1 - 1.0)) * (1.0 - (z1 / z2) * (z1 / (z1 - 1.0)))
-        )
-        return lhs - rhs
-
-    lo = max(gamma, 1.0) * (1.0 + 1e-9)
-    if gamma < 1.0:
-        hi = gamma / (1.0 - gamma) * (1.0 - 1e-9)  # keeps zeta2 > 1
-    else:
-        hi = max(1e7, 1e3 * gamma)
-    if hi <= lo:
-        return []
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 4000))
-    with np.errstate(divide="ignore"):  # zeta2 rounds to 1 at hi as gamma -> 1
-        vals = [F(z) for z in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif (vals[i] > 0.0) != (vals[i + 1] > 0.0) and math.isfinite(vals[i + 1]):
-            # a sign change into +-inf is the zeta2 = 1 pole, not a root
-            roots.append(brentq(F, grid[i], grid[i + 1], xtol=1e-15))
-    return [(z1, zeta2_of(z1)) for z1 in roots]
+def _adjusted(z1: float, gamma: float, s: float):
+    """(excess, zeta2) of the best adjustment after a pilot at z1 > 1: the
+    budget leaves 1/zeta2 <= 1/gamma - 1/z1, and h(.; b) for the pilot's
+    excess b > 1 is unimodal with its minimum at sqrt(b)/(sqrt(b) - 1), so
+    the best feasible zeta2 is that minimum or the budget edge."""
+    b = _h(z1, s)
+    left = 1.0 / gamma - 1.0 / z1
+    if left <= 0.0 or b <= 1.0:
+        return b, INF
+    rb = math.sqrt(b)
+    z2 = max(rb / (rb - 1.0), 1.0 / left)
+    return _h(z2, b), z2
 
 
 def _overparam_optimum(gamma: float, s: float):
@@ -469,17 +445,19 @@ def _overparam_optimum(gamma: float, s: float):
     z2_flat = q / (q - 1.0)
     if 1.0 / z1_flat + 1.0 / z2_flat <= 1.0 / gamma:
         return 2.0 * q - 1.0, z1_flat, z2_flat, "flat"
-    candidates = [
-        (_h(z2, _h(z1, s)), z1, z2) for z1, z2 in _lagrange_candidates(gamma, s)
-    ]
-    if gamma > 1.0:
-        # constraint-boundary corners z1 -> gamma (z2 -> inf) and z1 -> inf
-        # (z2 -> gamma) both give the unadjusted base value h(gamma; s)
-        candidates.append((_h(gamma, s), gamma, INF))
-    if not candidates:
-        raise SolverError(f"no feasible overparameterized split at gamma={gamma}, snr={s}")
-    val, z1, z2 = min(candidates, key=lambda t: t[0])
-    return val, z1, z2, "lagrange"
+    # the budget binds: one log scan over z1 - lo, the best point refined
+    # between its neighbours, and z1 = inf (the base alone, adjusted at
+    # z2 >= gamma).  The optimum can sit just above lo, where the pilot nears
+    # interpolation (lo = 1) or leaves the adjustment little budget (lo = gamma),
+    # so the scan and the search are logarithmic in the distance from lo.
+    lo = max(gamma, 1.0)
+    excess = lambda d: _adjusted(lo + d, gamma, s)[0]
+    scan = np.exp(np.linspace(math.log(1e-9 * lo), math.log(max(1e6, 10.0 * gamma)), SCAN_POINTS))
+    i = int(np.argmin([excess(d) for d in scan]))
+    _, d_gold = _golden_min(excess, scan[max(i - 1, 0)], scan[min(i + 1, SCAN_POINTS - 1)])
+    z1 = lo + min((float(scan[i]), d_gold, INF), key=excess)
+    val, z2 = _adjusted(z1, gamma, s)
+    return val, z1, z2, "budget"
 
 
 def optimize_onestep_iso(gamma: float, snr: float) -> OneStepOptimum:
@@ -488,7 +466,9 @@ def optimize_onestep_iso(gamma: float, snr: float) -> OneStepOptimum:
 
     Returns the minimizing allocation; the underparameterized corner
     (z1 = gamma < 1, no adjustment) competes against the overparameterized
-    branch, whose interior optimum is found from the stationarity system.
+    branch.  There the adjustment step is closed form given the pilot, and
+    when the budget binds the pilot's z1 comes from one log scan refined by
+    golden-section search.
     """
     if not gamma > 0.0:
         raise ValueError(f"aspect ratio must be positive, got {gamma}")
@@ -529,10 +509,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SCAN_POINTS = 400
 
 
-def _golden_min(profile, lo: float, hi: float) -> float:
+def _golden_min(profile, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section search for min profile(zeta) on [lo, hi] in log zeta, to
-    relative tolerance 1e-6; returns the smaller finite value of the last two
-    probes, or +inf."""
+    relative tolerance 1e-6; returns (value, zeta) of the probe with the
+    smaller finite value of the last two, or (+inf, +inf)."""
     a, b = math.log(lo), math.log(hi)
     f = lambda t: profile(math.exp(t))
     x1 = b - _GOLDEN * (b - a)
@@ -547,7 +527,8 @@ def _golden_min(profile, lo: float, hi: float) -> float:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
-    return min((v for v in (f1, f2) if math.isfinite(v)), default=INF)
+    probes = [(v, math.exp(x)) for v, x in ((f1, x1), (f2, x2)) if math.isfinite(v)]
+    return min(probes, key=lambda p: p[0], default=(INF, INF))
 
 
 def monotonize_curve(gammas, profile) -> list[float]:
@@ -592,7 +573,7 @@ def monotonize_curve(gammas, profile) -> list[float]:
             continue
         bracket = (max(i - 1, k), min(i + 1, len(zs) - 1))
         if bracket not in refined:
-            refined[bracket] = _golden_min(profile, zs[bracket[0]], zs[bracket[1]])
+            refined[bracket] = _golden_min(profile, zs[bracket[0]], zs[bracket[1]])[0]
         out.append(min(vals[i], refined[bracket], at_inf))
     return out
 

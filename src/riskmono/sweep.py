@@ -40,11 +40,18 @@ MAX_FAILURE_RATE = 0.2
 
 
 def worker_count() -> int:
-    """Worker cap from RISKMONO_THREADS (default: hardware parallelism)."""
+    """Worker cap from RISKMONO_THREADS (default: hardware parallelism).
+    Raises ValueError unless the variable is unset, empty or an integer >= 1."""
     env = os.environ.get("RISKMONO_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"RISKMONO_THREADS must be an integer >= 1, got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -315,19 +315,20 @@ class TestOneStepProfile:
                 assert abs(general - iterated) < 1e-10
 
 
+def excess(z, s):
+    """Excess ridgeless risk at aspect ratio z for signal-to-noise s, by branch."""
+    if math.isinf(z):
+        return s
+    if z == 1.0:
+        return INF
+    if z < 1.0:
+        return z / (1.0 - z)
+    return s * (1 - 1 / z) + 1 / (z - 1)
+
+
 def grid_min_onestep_excess(gamma, snr, points=900):
     """2-d constrained grid minimization oracle for the optimized one-step
     excess risk, using the iterated-profile branches directly."""
-
-    def excess(z, s):
-        if math.isinf(z):
-            return s
-        if z == 1.0:
-            return INF
-        if z < 1.0:
-            return z / (1.0 - z)
-        return s * (1 - 1 / z) + 1 / (z - 1)
-
     zs = list(np.exp(np.linspace(math.log(gamma), math.log(1e5), points))) + [INF]
     best = INF
     for z1 in zs:
@@ -362,7 +363,8 @@ class TestOptimizeOnestep:
         assert got.risk == pytest.approx(2 * math.sqrt(3) - 1, abs=1e-12)
 
     def test_matches_grid_oracle(self):
-        for gamma, snr in ((0.25, 1.0), (0.7, 2.0), (1.2, 4.0), (2.0, 4.0), (3.0, 20.0)):
+        cases = ((0.25, 1.0), (0.7, 2.0), (1.2, 4.0), (2.0, 4.0), (3.0, 20.0), (1.14, 74.6))
+        for gamma, snr in cases:
             opt = optimize_onestep_iso(gamma, snr).risk
             grid = grid_min_onestep_excess(gamma, snr)
             assert opt <= grid + 1e-9
@@ -378,11 +380,16 @@ class TestOptimizeOnestep:
                 assert one <= zero + 1e-8
 
     def test_allocation_respects_budget(self):
-        for gamma, snr in ((0.3, 2.0), (1.5, 4.0), (5.0, 15.0)):
+        cases = ((0.3, 2.0, "underparam"), (3.0, 1.0, "corner"), (1.05, 4.0, "flat"),
+                 (1.5, 4.0, "budget"), (5.0, 15.0, "budget"), (0.986, 413.0, "budget"))
+        for gamma, snr, branch in cases:
             opt = optimize_onestep_iso(gamma, snr)
+            assert opt.branch == branch
             z1 = 0.0 if math.isinf(opt.zeta1) else 1.0 / opt.zeta1
             z2 = 0.0 if math.isinf(opt.zeta2) else 1.0 / opt.zeta2
             assert z1 + z2 <= 1.0 / gamma + 1e-10
+            # the allocation attains the risk: pilot at zeta1, adjustment at zeta2
+            assert opt.risk == pytest.approx(excess(opt.zeta2, excess(opt.zeta1, snr)), rel=1e-15)
 
     def test_gamma_star_is_branch_crossover(self):
         snr = 20.0
@@ -641,7 +648,6 @@ class TestBrentPort:
         "_solve_alpha.<locals>.f",
         "mn1ls_profile.<locals>.outer",
         "snr_star.<locals>.f",
-        "_lagrange_candidates.<locals>.F",
         "gamma_star.<locals>.f",
     }
 

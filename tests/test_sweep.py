@@ -14,7 +14,7 @@ from riskmono import (
     run_sweep,
 )
 from riskmono.profiles import mn1ls_profile
-from riskmono.sweep import CSV_COLUMNS
+from riskmono.sweep import CSV_COLUMNS, worker_count
 
 from conftest import scan_monotonized_profile
 
@@ -137,6 +137,17 @@ class TestRunSweep:
         monkeypatch.setenv("RISKMONO_THREADS", "4")
         par = run_sweep(cfg).rows
         assert seq == par
+
+    @pytest.mark.parametrize("value,want", [("3", 3), (" 1 ", 1), ("", os.cpu_count() or 1)])
+    def test_worker_count_reads_the_environment(self, monkeypatch, value, want):
+        monkeypatch.setenv("RISKMONO_THREADS", value)
+        assert worker_count() == want
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("RISKMONO_THREADS", value)
+        with pytest.raises(ValueError, match="RISKMONO_THREADS must be an integer >= 1"):
+            worker_count()
 
     def test_failures_counted_and_tolerated(self):
         # block too large for subsampled sizes at small n: every zero-step rep
