@@ -13,13 +13,18 @@ fresh process under two environments, set before numpy loads:
 
 Checkouts alternate within each pair of runs, and the side that goes first
 alternates between pairs.  Every CSV of a config must be byte-identical
-across checkouts and environments; the script fails otherwise.  With
+across checkouts and environments; the script fails otherwise.  For a change
+that alters outputs on purpose, --outputs-change records each checkout's CSV
+hash instead, and still fails when a checkout's CSVs differ across
+environments.  With
 --tier1 it also times the Tier-1 test suite once per checkout, with the
 default environment, and records the setup time of each acceptance sweep
 fixture.
 
     python3 scripts/bench_sweep.py --checkout parent=/path/to/parent \\
         --checkout change=. --pairs 3 --tier1 --out BENCH_sweep.json
+    python3 scripts/bench_sweep.py --checkout parent=/path/to/parent \\
+        --checkout change=. --pairs 5 --tier1 --outputs-change --out BENCH_nested.json
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ def main() -> int:
     ap.add_argument("--configs", default="zero,one")
     ap.add_argument("--envs", default="default,pinned")
     ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite")
+    ap.add_argument("--outputs-change", action="store_true",
+                    help="record each checkout's CSV hashes instead of requiring them equal")
     ap.add_argument("--out", default=None, help="JSON file (default: stdout)")
     args = ap.parse_args()
 
@@ -135,7 +142,7 @@ def main() -> int:
         for name in args.configs.split(","):
             config = tmp / f"{name}.cfg"
             config.write_text("".join(f"{k} = {v}\n" for k, v in CONFIGS[name].items()))
-            digests = set()
+            digests = {label: set() for label in labels}
             for env_name in args.envs.split(","):
                 times = {label: {"wall_s": [], "cpu_s": []} for label in labels}
                 for pair in range(args.pairs):
@@ -145,22 +152,30 @@ def main() -> int:
                                                          tmp / f"{name}.csv")
                         times[label]["wall_s"].append(wall)
                         times[label]["cpu_s"].append(cpu)
-                        digests.add(digest)
+                        digests[label].add(digest)
                         print(f"{name}/{env_name} {label}: {wall:.2f} s wall, {cpu:.2f} s cpu",
                               file=sys.stderr, flush=True)
                 results[f"{name}/{env_name}"] = {
                     label: {metric: summarize(vals) for metric, vals in times[label].items()}
                     for label in labels
                 }
-            if len(digests) != 1:
-                raise SystemExit(f"config {name}: the CSVs differ across checkouts or environments")
-            results[f"{name}/csv_sha256"] = digests.pop()
+            for label, seen in digests.items():
+                if len(seen) != 1:
+                    raise SystemExit(f"config {name}: the CSVs of {label} differ across environments")
+            per_checkout = {label: seen.pop() for label, seen in digests.items()}
+            if args.outputs_change:
+                results[f"{name}/csv_sha256"] = per_checkout
+            elif len(set(per_checkout.values())) != 1:
+                raise SystemExit(f"config {name}: the CSVs differ across checkouts")
+            else:
+                results[f"{name}/csv_sha256"] = per_checkout[labels[0]]
     report = {
         "script": "scripts/bench_sweep.py",
         "host": host(),
         "configs": CONFIGS,
         "envs": ENVS,
         "checkouts": labels,
+        "outputs_change": args.outputs_change,
         "sweeps": results,
     }
     if args.tier1:

@@ -88,18 +88,27 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     return U
 
 
-def cho_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+def cho_solve(U: np.ndarray, B: np.ndarray, k: int | None = None) -> np.ndarray:
     """Solution X of U'U X = B for the factor U from `cho_factor`, as
     `scipy.linalg.cho_solve((U, False), B)`, bit for bit; B is a vector or a
-    matrix of right-hand sides and is not modified."""
+    matrix of right-hand sides and is not modified.  With k, the solve uses
+    the leading k x k block of U in place (one dpotrs call with U's leading
+    dimension), and B has k rows."""
     U = np.asfortranarray(U, dtype=np.float64)
     X = np.array(B, dtype=np.float64, order="F")
     n = U.shape[0]
-    if U.ndim != 2 or U.shape[1] != n or X.ndim not in (1, 2) or X.shape[0] != n:
-        raise ValueError(f"incompatible shapes {U.shape} and {X.shape}")
-    nrhs, ld, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int(max(1, n)), ctypes.c_int()
+    if U.ndim != 2 or U.shape[1] != n:
+        raise ValueError(f"expected a square factor, got shape {U.shape}")
+    if k is None:
+        k = n
+    elif not 0 <= k <= n:
+        raise ValueError(f"k = {k} is outside 0..{n}")
+    if X.ndim not in (1, 2) or X.shape[0] != k:
+        raise ValueError(f"incompatible shapes {U.shape} (k = {k}) and {X.shape}")
+    nrhs, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int()
     _bind()
-    _potrs(b"U", ctypes.c_int(n), ctypes.c_int(nrhs), U.ctypes.data, ld, X.ctypes.data, ld, info)
+    _potrs(b"U", ctypes.c_int(k), ctypes.c_int(nrhs), U.ctypes.data, ctypes.c_int(max(1, n)),
+           X.ctypes.data, ctypes.c_int(max(1, k)), info)
     _check(info, "dpotrs")
     return X
 

@@ -8,13 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
+
 
 class InvalidSplitError(ValueError):
     """Requested train/test split sizes are impossible."""
-
-
-class InvalidSubsampleError(ValueError):
-    """Requested subsample size(s) out of range."""
 
 
 class SolverError(RuntimeError):
@@ -49,8 +47,10 @@ class Dataset:
 
     features: np.ndarray
     response: np.ndarray
-    # row_gram()'s memo; cached_property's lock would serialize all instances
+    # row_gram()'s and memo()'s stores; cached_property's lock would
+    # serialize all instances
     _row_gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -79,6 +79,33 @@ class Dataset:
         if self._row_gram is None:
             object.__setattr__(self, "_row_gram", _readonly(self.features @ self.features.T))
         return self._row_gram
+
+    def memo(self, key, make):
+        """make(), computed on the first call per hashable key and kept for
+        the next ones; make() must not return None."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make()
+        return value
+
+    def order_factor(self, order) -> np.ndarray:
+        """Upper Cholesky factor U of the row gram of rows order[:m] in that
+        order, m = min(len(order), p - 1), formed on the first call per order
+        and kept.  For every k <= m the leading k x k block of U factors the
+        gram of order[:k], so fits on leading rows of one order share U.
+        When the factorization fails, U is 0 x 0."""
+        order = np.asarray(order, dtype=np.intp)
+
+        def factor():
+            head = order[: self.p - 1]
+            try:
+                U = _lapack.cho_factor(self.row_gram()[np.ix_(head, head)])
+            except np.linalg.LinAlgError:
+                U = np.empty((0, 0), order="F")
+            U.setflags(write=False)
+            return U
+
+        return self.memo(("order_factor", order.tobytes()), factor)
 
     def rows(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.intp)
@@ -133,16 +160,8 @@ def split_train_test(data: Dataset, n_te: int, seed: int):
     return data.rows(np.sort(perm[n_te:])), data.rows(np.sort(perm[:n_te]))
 
 
-def subsample_indices(n: int, k: int, seed: int) -> np.ndarray:
-    if not 1 <= k <= n:
-        raise InvalidSubsampleError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return np.sort(rng_from(seed).choice(n, size=k, replace=False))
-
-
-def disjoint_pair_indices(n: int, k1: int, k2: int, seed: int):
-    if k1 < 1 or k2 < 0 or k1 + k2 > n:
-        raise InvalidSubsampleError(
-            f"need k1 >= 1, k2 >= 0, k1 + k2 <= n; got k1={k1}, k2={k2}, n={n}"
-        )
-    perm = rng_from(seed).permutation(n)
-    return np.sort(perm[:k1]), np.sort(perm[k1 : k1 + k2])
+def row_order(n: int, seed: int, j: int) -> np.ndarray:
+    """Bag draw j's uniformly random permutation of n rows, from
+    child_seed(seed, "order", j).  Its first k entries are a uniform k-subset,
+    and its last entries a uniform subset of their complement."""
+    return rng_from(child_seed(seed, "order", j)).permutation(n)

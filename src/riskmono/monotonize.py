@@ -1,5 +1,6 @@
 # Zero-step (bagged subsample) and one-step (disjoint split + MN2LS residual
-# adjustment) procedures, both driven by the cross-validation selector.
+# adjustment) procedures, both driven by the cross-validation selector.  Every
+# candidate of a training split fits on rows of the same M row orders.
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, LinearPredictor, child_seed, disjoint_pair_indices, subsample_indices
+from .core import Dataset, LinearPredictor, row_order
 from .cv_select import CandidateFamily, RiskTable, cross_validate, default_test_size
 from .predictors import BaseProcedure
 from .risk_estimation import AVG, CenteringMethod
@@ -71,6 +72,9 @@ def zero_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int]]:
     offer is p / n_1 > p / n: this grid offset is part of the gap between the
     zero-step risk and min_{zeta >= gamma} R(zeta).  The paper's abstract
     does not settle whether xi = 0 (n_0 = n_tr) belongs to the grid.
+
+    Candidate xi fits on the first n_xi rows of each bag draw's row order
+    (`bagged_ingredient`), so the candidates' row sets are nested.
     """
     n_tr = n - n_te
     xi_max = math.ceil(n_tr / block - 2)
@@ -86,7 +90,10 @@ def one_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int, int, in
     """Index grid for the one-step procedure: (xi1, xi2, n1, n2).
 
     xi2 = 0 encodes the no-adjustment convention, so the one-step candidate
-    set contains the zero-step ingredient predictors for each xi1.
+    set contains the zero-step ingredient predictors for each xi1.  In each
+    bag draw the pilot fits on the first n1 rows of the row order and the
+    adjustment on its last n2 rows; n1 + n2 <= n_tr - block keeps them
+    disjoint.
     """
     n_tr = n - n_te
     xi_max = math.ceil(n_tr / block - 2)
@@ -103,57 +110,59 @@ def one_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int, int, in
     return grid
 
 
-def _bag(M: int, seed: int, tag: str, fit_draw) -> LinearPredictor:
-    """Coefficient average of fit_draw(child_seed(seed, tag, j)) over j < M."""
-    # valid for linear predictors: averaging coefficients == averaging predictions
-    return LinearPredictor(np.mean([fit_draw(child_seed(seed, tag, j)) for j in range(M)], axis=0))
-
-
-def bagged_ingredient(
-    base: BaseProcedure, train: Dataset, k: int, M: int, seed: int
-) -> LinearPredictor:
-    """Coefficient average of the base fit on M independent size-k subsamples.
-
-    Subsets are i.i.d. uniform across the M repetitions (they may coincide).
-    """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    return _bag(
-        M, seed, "bag", lambda s: base.fit(train, subsample_indices(train.n, k, s)).coefficients
-    )
-
-
 def onestep_ingredient(
-    base: BaseProcedure, train: Dataset, idx1: np.ndarray, idx2: np.ndarray
+    base: BaseProcedure,
+    train: Dataset,
+    idx1: np.ndarray,
+    idx2: np.ndarray,
+    n1: int | None = None,
+    n2: int | None = None,
 ) -> LinearPredictor:
-    """Base fit on rows idx1 plus an MN2LS fit to its residuals on rows idx2.
-
-    An empty idx2 means no adjustment and returns the base fit.
-    """
-    pilot = base.fit(train, idx1)
-    if idx2.size == 0:
+    """Base fit on rows idx1[:n1] plus an MN2LS fit to its residuals on rows
+    idx2[:n2] (all of either when None), each through `BaseProcedure.fit`'s
+    leading-rows route.  No rows in idx2[:n2] means no adjustment and returns
+    the base fit."""
+    pilot = base.fit(train, idx1, k=n1)
+    rows2 = np.asarray(idx2, dtype=np.intp)[:n2]
+    if rows2.size == 0:
         return pilot
-    resid = train.response[idx2] - train.features[idx2] @ pilot.coefficients
-    adjust = BaseProcedure.mn2ls().fit(train, idx2, response=resid)
+    resid = train.response[rows2] - train.features[rows2] @ pilot.coefficients
+    adjust = BaseProcedure.mn2ls().fit(train, idx2, response=resid, k=n2)
     return LinearPredictor(pilot.coefficients + adjust.coefficients)
 
 
-def _candidate(base, cfg, xi1, n1, xi2=0, n2=0):
-    """Candidate fit train -> predictor.  With xi2 = 0 it is zero-step
-    candidate xi1, the bagged size-n1 ingredient under seed (zs, xi1), and
-    one-step's (xi1, 0) rows are these same fits.  With xi2 >= 1 it averages
-    the one-step ingredient over M disjoint (n1, n2) row pairs."""
-    if xi2 == 0:
-        seed = child_seed(cfg.seed, "zs", xi1)
-        return lambda train: bagged_ingredient(base, train, n1, cfg.M, seed)
-    seed = child_seed(cfg.seed, "os", xi1, xi2)
+def bagged_ingredient(
+    base: BaseProcedure, train: Dataset, n1: int, M: int, seed: int, n2: int = 0
+) -> LinearPredictor:
+    """Coefficient average over bag draws j < M of the one-step ingredient
+    with pilot rows order[:n1] and adjustment rows order[::-1][:n2], where
+    order = row_order(train.n, seed, j).  With n2 = 0 it is the zero-step
+    ingredient: the base fit on a uniform n1-subset, bagged.
 
-    def fit(train):
-        def draw(s):
-            idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, s)
-            return onestep_ingredient(base, train, idx1, idx2).coefficients
-        return _bag(cfg.M, seed, "pair", draw)
-    return fit
+    Draws are i.i.d. across j (their subsets may coincide).  Within one draw
+    the row sets of all sizes are nested, so every mn2ls fit on fewer rows
+    than columns solves on one of two Cholesky factors per draw, kept on
+    `train`: that of `order` and that of its reverse.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    coefs = []
+    for j in range(M):
+        order = row_order(train.n, seed, j)
+        coefs.append(onestep_ingredient(base, train, order, order[::-1], n1, n2).coefficients)
+    # valid for linear predictors: averaging coefficients == averaging predictions
+    return LinearPredictor(np.mean(coefs, axis=0))
+
+
+def _candidate(base, cfg, n1, n2=0):
+    """Candidate fit train -> predictor: `bagged_ingredient` on the M row
+    orders of cfg.seed, so all candidates of a training split share them.
+    With n2 = 0 it is zero-step candidate n1, and one-step's (xi1, 0) rows
+    are these same fits, bit for bit.  Each candidate alone keeps the law of
+    independent draws: its pilot rows are a uniform n1-subset and its
+    adjustment rows a uniform n2-subset of their complement; only the joint
+    law across candidates is nested."""
+    return lambda train: bagged_ingredient(base, train, n1, cfg.M, cfg.seed, n2)
 
 
 def _select(data: Dataset, cfg: MonotonizeConfig, candidates):
@@ -174,7 +183,7 @@ def zero_step(
     """Cross-validated selection over bagged subsample sizes (plus the null
     predictor when configured)."""
     return _select(data, cfg, lambda n_te, block: {
-        xi: _candidate(base, cfg, xi, k) for xi, k in zero_step_grid(data.n, n_te, block)
+        xi: _candidate(base, cfg, k) for xi, k in zero_step_grid(data.n, n_te, block)
     })
 
 
@@ -185,6 +194,6 @@ def one_step(
     residual adjustment.  The (xi1, 0) rows carry no adjustment: they are the
     zero-step candidates xi1 themselves."""
     return _select(data, cfg, lambda n_te, block: {
-        (xi1, xi2): _candidate(base, cfg, xi1, n1, xi2, n2)
+        (xi1, xi2): _candidate(base, cfg, n1, n2)
         for xi1, xi2, n1, n2 in one_step_grid(data.n, n_te, block)
     })

@@ -30,16 +30,17 @@ def fit_mn2ls(data: Dataset) -> LinearPredictor:
     return LinearPredictor(_mn2ls(data.features, data.response))
 
 
-def _mn2ls(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
-    """Cholesky on the smaller side's gram, else the SVD route.  `gram`
-    supplies a precomputed row gram X X' for the n < p side."""
-    beta = _mn2ls_cholesky(X, y, gram)
+def _mn2ls(X: np.ndarray, y: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    """Cholesky on the smaller side's gram, else the SVD route.  `factor`
+    supplies, for n < p rows, an upper Cholesky factor whose leading n x n
+    block factors the row gram X X'."""
+    beta = _mn2ls_cholesky(X, y, factor)
     if beta is None:
         beta, *_ = np.linalg.lstsq(X, y, rcond=RTOL_SCALE * max(X.shape))
     return beta
 
 
-def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None):
+def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, factor: np.ndarray | None = None):
     """Full-rank fast path: solve the gram system on the smaller side.
     Returns None when the system looks (near-)rank-deficient; a rank-deficient
     gram solve can satisfy the normal equations without being min-norm, so the
@@ -49,14 +50,14 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
     try:
         if n >= p:
             U = _lapack.cho_factor(X.T @ X)
-            if not _well_conditioned(U):
+            if not _well_conditioned(U, p):
                 return None
             beta = _lapack.cho_solve(U, X.T @ y)
         else:
-            U = _lapack.cho_factor(X @ X.T if gram is None else gram)
-            if not _well_conditioned(U):
+            U = _lapack.cho_factor(X @ X.T) if factor is None else factor
+            if not _well_conditioned(U, n):
                 return None
-            beta = X.T @ _lapack.cho_solve(U, y)
+            beta = X.T @ _lapack.cho_solve(U, y, n)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(beta)):
@@ -64,10 +65,11 @@ def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
     return beta
 
 
-def _well_conditioned(chol: np.ndarray) -> bool:
-    # diag(L) spread approximates sqrt(cond) of the gram matrix
-    d = np.abs(np.diag(chol))
-    return d.min() > CHOL_DIAG_RATIO * d.max()
+def _well_conditioned(chol: np.ndarray, k: int) -> bool:
+    # diag(U) spread over the leading k x k block approximates sqrt(cond) of
+    # that block's gram; a factor with fewer than k rows (a failed one) fails
+    d = np.abs(np.diag(chol)[:k])
+    return d.size == k and d.min() > CHOL_DIAG_RATIO * d.max()
 
 
 def fit_ridge(data: Dataset, lam: float) -> LinearPredictor:
@@ -234,15 +236,27 @@ class BaseProcedure:
     def null(cls):
         return cls("null")
 
-    def fit(self, data: Dataset, rows=None, response=None) -> LinearPredictor:
-        """The fit on rows `rows` of `data` (all when None), with `response`
-        in place of their responses (residual fits).  mn2ls on fewer rows than
-        columns solves on a principal submatrix of `data.row_gram()`."""
+    def fit(self, data: Dataset, rows=None, response=None, k=None) -> LinearPredictor:
+        """The fit on the first `k` of row indices `rows` of `data` (all rows
+        when `rows` is None, all of `rows` when `k` is None), with `response`
+        in place of their responses (residual fits).  mn2ls on fewer rows
+        than columns solves with the leading block of
+        `data.order_factor(rows)`, so fits on leading rows of one `rows` share
+        one Cholesky factor.  A fit on rows with their own responses is kept
+        on `data` per (procedure, rows, k): under nested draws each one-step
+        pilot is the fit of a zero-step-sized candidate."""
+        if rows is None or response is not None:
+            return self._fit(data, rows, response, k)
+        key = (self, np.asarray(rows, dtype=np.intp).tobytes(), k)
+        return data.memo(key, lambda: self._fit(data, rows, None, k))
+
+    def _fit(self, data, rows, response, k) -> LinearPredictor:
         if rows is not None or response is not None:
-            X = data.features if rows is None else data.features[rows]
-            y = data.response[rows] if response is None else response
-            if self.kind == "mn2ls" and rows is not None and X.shape[0] < data.p:
-                return LinearPredictor(_mn2ls(X, y, data.row_gram()[rows][:, rows]))
+            idx = None if rows is None else np.asarray(rows, dtype=np.intp)[:k]
+            X = data.features if idx is None else data.features[idx]
+            y = data.response[idx] if response is None else response
+            if self.kind == "mn2ls" and idx is not None and idx.size < data.p:
+                return LinearPredictor(_mn2ls(X, y, data.order_factor(rows)))
             data = Dataset(X, y)
         if self.kind == "mn2ls":
             return fit_mn2ls(data)

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from riskmono.core import (
     Dataset,
     InvalidSplitError,
-    InvalidSubsampleError,
     LinearPredictor,
     child_seed,
-    disjoint_pair_indices,
     loss_values,
+    row_order,
     split_train_test,
-    subsample_indices,
 )
 from riskmono.datagen import ConditionalSampler, DataModel
 
@@ -91,53 +89,39 @@ class TestSplit:
         assert np.all(np.diff(train.response) > 0) and np.all(np.diff(test.response) > 0)
 
 
-class TestSubsample:
-    def test_k_equals_n_returns_whole_dataset(self):
-        data = make_data(8)
-        sub = data.rows(subsample_indices(8, 8, seed=3))
-        np.testing.assert_array_equal(sub.features, data.features)
-        np.testing.assert_array_equal(sub.response, data.response)
+class TestRowOrder:
+    def test_is_a_permutation(self):
+        for n in (1, 2, 10, 361):
+            order = row_order(n, seed=3, j=0)
+            assert order.dtype == np.intp
+            np.testing.assert_array_equal(np.sort(order), np.arange(n))
 
-    def test_determinism(self):
-        data = make_data(8)
-        a = data.rows(subsample_indices(8, 3, seed=1))
-        b = data.rows(subsample_indices(8, 3, seed=1))
-        np.testing.assert_array_equal(a.features, b.features)
+    def test_reproducible_per_seed_and_draw(self):
+        for seed, j in ((0, 0), (1, 2), (7, 5)):
+            np.testing.assert_array_equal(row_order(40, seed, j), row_order(40, seed, j))
 
-    def test_out_of_range_rejected(self):
-        for k in (0, 9):
-            with pytest.raises(InvalidSubsampleError):
-                subsample_indices(8, k, seed=0)
+    def test_differs_across_draws(self):
+        orders = [row_order(40, seed=1, j=j) for j in range(5)] + [row_order(40, seed=2, j=0)]
+        for a in range(len(orders)):
+            for b in range(a):
+                assert not np.array_equal(orders[a], orders[b])
 
-    def test_row_frequencies_uniform(self):
-        # each row should appear with frequency k/n up to a 3-sigma binomial band
-        n, k, draws = 12, 4, 600
-        data = make_data(n)
-        counts = np.zeros(n)
+    def test_leading_and_trailing_rows_keep_the_independent_draw_law(self):
+        # pilot rows order[:n1] and adjustment rows order[::-1][:n2] form a
+        # uniform n1-subset and a uniform n2-subset of its complement: each of
+        # the C(5,2) * C(3,2) = 30 set pairs is drawn with probability 1/30,
+        # up to a 4-sigma binomial band
+        n, n1, n2, draws = 5, 2, 2, 3000
+        counts = {}
         for s in range(draws):
-            sub = data.rows(subsample_indices(n, k, seed=s))
-            for row in sub.response:
-                counts[np.where(data.response == row)[0][0]] += 1
-        expected = draws * k / n
-        band = 3 * np.sqrt(draws * (k / n) * (1 - k / n))
-        assert np.all(np.abs(counts - expected) <= band)
-
-
-class TestDisjointPair:
-    def test_partition_of_distinct_rows(self):
-        data = make_data(10)
-        d1, d2 = map(data.rows, disjoint_pair_indices(10, 6, 4, seed=5))
-        merged = np.concatenate([d1.response, d2.response])
-        assert np.unique(merged).size == 10
-
-    def test_empty_second_set(self):
-        data = make_data(10)
-        d1, d2 = map(data.rows, disjoint_pair_indices(10, 6, 0, seed=5))
-        assert d1.n == 6 and d2.n == 0
-
-    def test_overflow_rejected(self):
-        with pytest.raises(InvalidSubsampleError):
-            disjoint_pair_indices(10, 8, 4, seed=0)
+            order = row_order(n, seed=s, j=1)
+            key = (frozenset(order[:n1].tolist()), frozenset(order[::-1][:n2].tolist()))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 30
+        assert all(not (a & b) for a, b in counts)
+        expected = draws / 30
+        band = 4 * np.sqrt(draws * (1 / 30) * (29 / 30))
+        assert all(abs(c - expected) <= band for c in counts.values())
 
 
 def squared_error(y, yhat):

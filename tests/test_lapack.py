@@ -61,6 +61,17 @@ class TestBitIdentity:
             # by sqrt(a), which can differ in the last bit
             np.testing.assert_allclose(X, ref, rtol=4 * np.finfo(float).eps, atol=0)
 
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    def test_leading_block_solve_matches_a_copy_of_the_block(self, n, nrhs):
+        U = _lapack.cho_factor(spd(n, 200 + n))
+        rng = np.random.default_rng(n)
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            B = rng.standard_normal((k, nrhs) if nrhs > 1 else k)
+            got = _lapack.cho_solve(U, B, k)
+            want = _lapack.cho_solve(np.array(U[:k, :k], order="F"), B)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_memory_order_of_the_input_does_not_matter(self, order):
         A = np.asarray(spd(50, 3), order=order)
@@ -96,7 +107,9 @@ class TestFailures:
         with pytest.raises(scipy.linalg.LinAlgError):
             _lapack.cho_factor(X @ X.T)
         assert _mn2ls_cholesky(X, y) is None
-        assert _mn2ls_cholesky(X, y, -np.eye(8)) is None
+        # the shared factor of these rows failed too: it is 0 x 0 and rejected
+        U = Dataset(X, y).order_factor(np.arange(8))
+        assert U.shape == (0, 0) and _mn2ls_cholesky(X, y, U) is None
         beta = fit_mn2ls(Dataset(X, y)).coefficients
         np.testing.assert_allclose(beta, np.linalg.pinv(X) @ y, rtol=1e-10, atol=1e-12)
 
@@ -105,6 +118,11 @@ class TestFailures:
             _lapack.cho_factor(np.ones((2, 3)))
         with pytest.raises(ValueError, match="incompatible"):
             _lapack.cho_solve(np.eye(3), np.ones(4))
+        with pytest.raises(ValueError, match="incompatible"):
+            _lapack.cho_solve(np.eye(3), np.ones(3), k=2)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                _lapack.cho_solve(np.eye(3), np.ones(3), k=k)
 
     def test_illegal_argument_is_not_a_numerical_failure(self):
         # LAPACK's info < 0 is a programming error: cross-validation and the

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmono import BaseProcedure, Dataset, MonotonizeConfig, one_step, zero_step
-from riskmono.core import child_seed, disjoint_pair_indices, split_train_test, subsample_indices
+from riskmono import _lapack, predictors
+from riskmono.core import child_seed, row_order, split_train_test
 from riskmono.monotonize import (
     NULL_INDEX,
     ConfigError,
@@ -85,7 +86,7 @@ class TestBaggedIngredient:
         data, _ = random_dataset(rng, 20, 4)
         base = BaseProcedure.mn2ls()
         bag = bagged_ingredient(base, data, 12, M=1, seed=5)
-        sub = data.rows(subsample_indices(data.n, 12, child_seed(5, "bag", 0)))
+        sub = data.rows(row_order(data.n, 5, 0)[:12])
         np.testing.assert_array_equal(bag.coefficients, base.fit(sub).coefficients)
 
     def test_full_size_subsample_is_degenerate(self, rng):
@@ -100,7 +101,7 @@ class TestBaggedIngredient:
         data, _ = random_dataset(rng, 25, 4)
         base = BaseProcedure.mn2ls()
         bag = bagged_ingredient(base, data, 15, M=2, seed=7)
-        draws = [subsample_indices(data.n, 15, child_seed(7, "bag", j)) for j in (0, 1)]
+        draws = [row_order(data.n, 7, j)[:15] for j in (0, 1)]
         parts = [base.fit(data.rows(idx)).coefficients for idx in draws]
         np.testing.assert_allclose(bag.coefficients, np.mean(parts, axis=0), atol=1e-12)
 
@@ -220,33 +221,27 @@ def _cv_train(data, cfg):
     return train
 
 
-def _bagged_by_hand(base, train, k, M, seed):
-    # zero-step ingredient: base.fit on M subsamples under child seeds "bag"
-    return np.mean(
-        [
-            base.fit(train.rows(subsample_indices(train.n, k, child_seed(seed, "bag", j))))
-            .coefficients
-            for j in range(M)
-        ],
-        axis=0,
-    )
-
-
-def _onestep_by_hand(base, train, n1, n2, M, seed):
-    # one-step ingredient: base.fit on the first set of each disjoint pair
-    # (child seeds "pair"); the ridgeless residual fit is mn2ls's own route
+def _bagged_by_hand(base, train, n1, n2, M, seed):
+    # bag draw j of every candidate: order = row_order(train.n, seed, j); the
+    # pilot is base.fit on order[:n1], and for n2 > 0 the ridgeless residual
+    # fit is mn2ls's own route on order[::-1][:n2]
     coefs = []
     for j in range(M):
-        idx1, idx2 = disjoint_pair_indices(train.n, n1, n2, child_seed(seed, "pair", j))
-        pilot = base.fit(train.rows(idx1)).coefficients
-        resid = train.response[idx2] - train.features[idx2] @ pilot
-        coefs.append(pilot + BaseProcedure.mn2ls().fit(train, idx2, response=resid).coefficients)
+        order = row_order(train.n, seed, j)
+        pilot = base.fit(train.rows(order[:n1])).coefficients
+        if n2 > 0:
+            idx2 = order[::-1][:n2]
+            resid = train.response[idx2] - train.features[idx2] @ pilot
+            pilot = pilot + BaseProcedure.mn2ls().fit(
+                train, order[::-1], response=resid, k=n2
+            ).coefficients
+        coefs.append(pilot)
     return np.mean(coefs, axis=0)
 
 
 class TestGenericBase:
     """zero_step / one_step with a base other than mn2ls fit each candidate
-    with base.fit on the rows the documented child seeds select."""
+    with base.fit on the rows of the documented row orders."""
 
     BASES = (BaseProcedure.ridge(0.3), BaseProcedure.null())
 
@@ -262,9 +257,7 @@ class TestGenericBase:
         for row in table.rows:
             if row.index == NULL_INDEX:
                 continue
-            want = _bagged_by_hand(
-                base, train, grid[row.index], M, child_seed(cfg.seed, "zs", row.index)
-            )
+            want = _bagged_by_hand(base, train, grid[row.index], 0, M, cfg.seed)
             np.testing.assert_array_equal(row.predictor.coefficients, want)
 
     @pytest.mark.parametrize("p", [12, 90])
@@ -279,11 +272,106 @@ class TestGenericBase:
         for row in table.rows:
             if row.index == NULL_INDEX:
                 continue
-            (xi1, xi2), (n1, n2) = row.index, grid[row.index]
-            if xi2 == 0:
-                want = _bagged_by_hand(base, train, n1, M, child_seed(cfg.seed, "zs", xi1))
-            else:
-                want = _onestep_by_hand(
-                    base, train, n1, n2, M, child_seed(cfg.seed, "os", xi1, xi2)
-                )
+            n1, n2 = grid[row.index]
+            want = _bagged_by_hand(base, train, n1, n2, M, cfg.seed)
             np.testing.assert_array_equal(row.predictor.coefficients, want)
+
+
+def _repeated_rows(rng, noise=0.0):
+    # n = 60, p = 150, rows 30-59 repeat rows 0-29 (plus `noise`): most
+    # training row orders hold a repeated pair, whose row gram is singular
+    # (noise 0) or has a Cholesky diagonal spread far below CHOL_DIAG_RATIO
+    X = rng.standard_normal((60, 150))
+    y = rng.standard_normal(60)
+    X[30:], y[30:] = X[:30] + noise * rng.standard_normal((30, 150)), y[:30]
+    return Dataset(X, y)
+
+
+def _holds_a_repeat(X):
+    # some two rows closer than 1e-3; distinct Gaussian rows are ~17 apart
+    d = np.sum(X**2, axis=1)
+    dist2 = d[:, None] + d[None, :] - 2 * X @ X.T
+    np.fill_diagonal(dist2, np.inf)
+    return bool(dist2.min() < 1e-6)
+
+
+def _lstsq(train, rows, y):
+    X = train.features[rows]
+    return np.linalg.lstsq(X, y, rcond=None)[0]
+
+
+def _lstsq_by_hand(train, n1, n2, M, seed):
+    # the nested draw with every ridgeless fit by numpy's SVD least squares
+    coefs = []
+    for j in range(M):
+        order = row_order(train.n, seed, j)
+        pilot = _lstsq(train, order[:n1], train.response[order[:n1]])
+        if n2 > 0:
+            idx2 = order[::-1][:n2]
+            pilot = pilot + _lstsq(train, idx2, train.response[idx2] - train.features[idx2] @ pilot)
+        coefs.append(pilot)
+    return np.mean(coefs, axis=0)
+
+
+class TestSharedFactor:
+    """Every mn2ls candidate on fewer rows than columns solves with a block
+    of one Cholesky factor per row order; it matches an independent SVD
+    least-squares fit on the same rows to 1e-9, and a candidate whose rows
+    make the factor fail or its block ill-conditioned takes lstsq."""
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("proc", [zero_step, one_step], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("design", ["distinct", "repeated_rows", "near_repeated_rows"])
+    def test_candidates_match_lstsq_on_the_same_rows(self, rng, monkeypatch, proc, M, design):
+        data = {
+            "distinct": lambda: random_dataset(rng, 70, 90)[0],
+            "repeated_rows": lambda: _repeated_rows(rng),  # every factorization fails
+            "near_repeated_rows": lambda: _repeated_rows(rng, noise=3e-6),  # the check rejects
+        }[design]()
+        cfg = MonotonizeConfig(M=M, block=8, n_te=10, seed=23)
+        factored, fits = [], []
+        cho_factor, cholesky = _lapack.cho_factor, predictors._mn2ls_cholesky
+        monkeypatch.setattr(
+            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+        )
+
+        def recorded(X, y, factor=None):
+            beta = cholesky(X, y, factor)
+            fits.append((_holds_a_repeat(X), beta is None))
+            return beta
+
+        monkeypatch.setattr(predictors, "_mn2ls_cholesky", recorded)
+        table, _ = proc(data, BaseProcedure.mn2ls(), cfg)
+        monkeypatch.undo()
+
+        train = _cv_train(data, cfg)
+        if proc is zero_step:
+            sizes = {xi: (k, 0) for xi, k in zero_step_grid(data.n, cfg.n_te, cfg.block)}
+        else:
+            sizes = {(a, b): (n1, n2)
+                     for a, b, n1, n2 in one_step_grid(data.n, cfg.n_te, cfg.block)}
+        for row in table.rows:
+            assert row.error is None
+            if row.index != NULL_INDEX:
+                want = _lstsq_by_hand(train, *sizes[row.index], M, cfg.seed)
+                np.testing.assert_allclose(row.predictor.coefficients, want, rtol=0, atol=1e-9)
+
+        # one factor per row order: order_j for pilots, its reverse for the
+        # adjustments, each of the leading min(n_tr, p - 1) = n_tr rows
+        n_orders = M * (2 if proc is one_step else 1)
+        assert factored == [(train.n, train.n)] * n_orders
+        # one fit per distinct pilot size and per adjustment, in each draw:
+        # the pilot of (xi1, xi2) is the kept fit of (xi1, 0)
+        pilots = {n1 for n1, _ in sizes.values()}
+        adjustments = sum(n2 > 0 for _, n2 in sizes.values())
+        assert len(fits) == M * (len(pilots) + adjustments)
+        if design == "distinct":
+            assert not any(dup or fallback for dup, fallback in fits)
+        else:
+            # a fit on rows holding a repeated pair never keeps the factor
+            assert any(dup for dup, _ in fits)
+            assert all(fallback for dup, fallback in fits if dup)
+        if design == "near_repeated_rows":
+            # the check reads only the leading k diagonal entries: a leading
+            # block without a repeat still solves on the shared factor
+            assert any(not fallback for dup, fallback in fits if not dup)

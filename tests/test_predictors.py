@@ -387,6 +387,20 @@ class TestFitRows:
         want = fit_mn2ls(Dataset(train.features[idx], resid)).coefficients
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    def test_fit_on_rows_is_kept_per_procedure_rows_and_k(self, rng):
+        train, _ = random_dataset(rng, 30, 50)
+        order = rng.permutation(30)
+        base = BaseProcedure.mn2ls()
+        first = base.fit(train, order, k=12)
+        assert base.fit(train, order, k=12) is first
+        assert base.fit(train, order, k=13) is not first
+        assert base.fit(train, order[::-1], k=12) is not first
+        assert BaseProcedure.ridge(0.3).fit(train, order, k=12) is not first
+        # residual fits carry their own responses and are not kept
+        resid = rng.standard_normal(12)
+        again = base.fit(train, order, response=resid, k=12)
+        assert base.fit(train, order, response=resid, k=12) is not again
+
     @pytest.mark.parametrize(
         "base",
         [BaseProcedure.ridge(0.3), BaseProcedure.null(), BaseProcedure.mn1ls(),
