@@ -65,9 +65,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class NotPositiveDefinite(LinAlgError):
+    """dpotrf stopped at a pivot that is not positive.  `leading` is the
+    upper factor of the leading block before that pivot, which dpotrf had
+    completed (0 x 0 when the first pivot failed)."""
+
+    def __init__(self, pivot: int, leading: np.ndarray):
+        super().__init__(f"{pivot}-th leading minor of the array is not positive definite")
+        self.leading = leading
+
+
 def _check(info: ctypes.c_int, routine: str) -> None:
-    if info.value > 0:
-        raise LinAlgError(f"{info.value}-th leading minor of the array is not positive definite")
     if info.value < 0:
         raise LapackArgumentError(f"illegal value in argument {-info.value} of {routine}")
 
@@ -77,7 +85,7 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     `scipy.linalg.cho_factor(A)[0]`, bit for bit: the upper triangle of a
     Fortran-order copy of A is factored in place (only that triangle is
     read), and the strict lower triangle keeps A's entries.  Raises
-    LinAlgError when A is not positive definite."""
+    NotPositiveDefinite, a LinAlgError, when A is not positive definite."""
     U = np.array(A, dtype=np.float64, order="F")
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
@@ -85,6 +93,9 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     _bind()
     _potrf(b"U", ctypes.c_int(n), U.ctypes.data, ctypes.c_int(max(1, n)), info)
     _check(info, "dpotrf")
+    if info.value > 0:
+        m = info.value - 1
+        raise NotPositiveDefinite(info.value, np.array(U[:m, :m], order="F"))
     return U
 
 

@@ -82,10 +82,14 @@ class Dataset:
 
     def memo(self, key, make):
         """make(), computed on the first call per hashable key and kept for
-        the next ones; make() must not return None."""
+        the next ones.  make() returning None is a programming error (None
+        marks a missing entry) and raises TypeError."""
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = make()
+            value = make()
+            if value is None:
+                raise TypeError("Dataset.memo: make() returned None, which marks a missing entry")
+            self._memo[key] = value
         return value
 
     def order_factor(self, order) -> np.ndarray:
@@ -93,15 +97,16 @@ class Dataset:
         order, m = min(len(order), p - 1), formed on the first call per order
         and kept.  For every k <= m the leading k x k block of U factors the
         gram of order[:k], so fits on leading rows of one order share U.
-        When the factorization fails, U is 0 x 0."""
+        When the factorization fails at pivot i, U is the leading
+        (i - 1) x (i - 1) block that it completed."""
         order = np.asarray(order, dtype=np.intp)
 
         def factor():
             head = order[: self.p - 1]
             try:
                 U = _lapack.cho_factor(self.row_gram()[np.ix_(head, head)])
-            except np.linalg.LinAlgError:
-                U = np.empty((0, 0), order="F")
+            except _lapack.NotPositiveDefinite as exc:
+                U = exc.leading
             U.setflags(write=False)
             return U
 

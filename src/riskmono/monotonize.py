@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import Dataset, LinearPredictor, row_order
 from .cv_select import CandidateFamily, RiskTable, cross_validate, default_test_size
-from .predictors import BaseProcedure
+from .predictors import BaseProcedure, RowFit
 from .risk_estimation import AVG, CenteringMethod
 
 
@@ -119,16 +119,25 @@ def onestep_ingredient(
     n2: int | None = None,
 ) -> LinearPredictor:
     """Base fit on rows idx1[:n1] plus an MN2LS fit to its residuals on rows
-    idx2[:n2] (all of either when None), each through `BaseProcedure.fit`'s
-    leading-rows route.  No rows in idx2[:n2] means no adjustment and returns
-    the base fit."""
-    pilot = base.fit(train, idx1, k=n1)
+    idx2[:n2] (all of either when None).  No rows in idx2[:n2] means no
+    adjustment and returns the base fit.  Both fits are `BaseProcedure.row_fit`s
+    on `train`; see `_onestep`."""
+    return _onestep(base, train, idx1, idx2, n1, n2).predictor(train)
+
+
+def _onestep(base, train, idx1, idx2, n1, n2) -> RowFit:
+    """`onestep_ingredient` in row-space form.  With an mn2ls pilot on
+    fewer rows than columns, the pilot is weights w1 over the training rows,
+    its residual is y2 - row_gram()[idx2] w1, and the adjustment's weights
+    w2 add to w1; no p-wide product is formed.  A pilot with a primal part
+    (any other base, or mn2ls on rows that reject the shared factor or
+    number at least p) leaves the residual y2 - X2 beta1."""
+    pilot = base.row_fit(train, idx1, k=n1)
     rows2 = np.asarray(idx2, dtype=np.intp)[:n2]
     if rows2.size == 0:
         return pilot
-    resid = train.response[rows2] - train.features[rows2] @ pilot.coefficients
-    adjust = BaseProcedure.mn2ls().fit(train, idx2, response=resid, k=n2)
-    return LinearPredictor(pilot.coefficients + adjust.coefficients)
+    resid = train.response[rows2] - pilot.fitted(train, rows2)
+    return pilot + BaseProcedure.mn2ls().row_fit(train, idx2, response=resid, k=n2)
 
 
 def bagged_ingredient(
@@ -139,19 +148,22 @@ def bagged_ingredient(
     order = row_order(train.n, seed, j).  With n2 = 0 it is the zero-step
     ingredient: the base fit on a uniform n1-subset, bagged.
 
-    Draws are i.i.d. across j (their subsets may coincide).  Within one draw
-    the row sets of all sizes are nested, so every mn2ls fit on fewer rows
-    than columns solves on one of two Cholesky factors per draw, kept on
-    `train`: that of `order` and that of its reverse.
+    Draws are i.i.d. across j (their subsets may coincide).  Each order is
+    drawn once per `train` and kept on it.  Within one draw the row sets of
+    all sizes are nested, so every mn2ls fit on fewer rows than columns
+    solves on one of two Cholesky factors per draw, kept on `train`: that of
+    `order` and that of its reverse.  The draws average in row-space form
+    (weights over the training rows plus a primal part), so the coefficients
+    are formed once, as X' w + primal.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    coefs = []
+    fits = []
     for j in range(M):
-        order = row_order(train.n, seed, j)
-        coefs.append(onestep_ingredient(base, train, order, order[::-1], n1, n2).coefficients)
+        order = train.memo(("row_order", seed, j), lambda: row_order(train.n, seed, j))
+        fits.append(_onestep(base, train, order, order[::-1], n1, n2))
     # valid for linear predictors: averaging coefficients == averaging predictions
-    return LinearPredictor(np.mean(coefs, axis=0))
+    return RowFit.mean(fits).predictor(train)
 
 
 def _candidate(base, cfg, n1, n2=0):

@@ -30,44 +30,55 @@ def fit_mn2ls(data: Dataset) -> LinearPredictor:
     return LinearPredictor(_mn2ls(data.features, data.response))
 
 
-def _mn2ls(X: np.ndarray, y: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-    """Cholesky on the smaller side's gram, else the SVD route.  `factor`
-    supplies, for n < p rows, an upper Cholesky factor whose leading n x n
-    block factors the row gram X X'."""
-    beta = _mn2ls_cholesky(X, y, factor)
-    if beta is None:
-        beta, *_ = np.linalg.lstsq(X, y, rcond=RTOL_SCALE * max(X.shape))
+def _mn2ls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cholesky on the smaller side's gram, else the SVD route."""
+    beta = _mn2ls_cholesky(X, y)
+    return _lstsq(X, y) if beta is None else beta
+
+
+def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    beta, *_ = np.linalg.lstsq(X, y, rcond=RTOL_SCALE * max(X.shape))
     return beta
 
 
-def _mn2ls_cholesky(X: np.ndarray, y: np.ndarray, factor: np.ndarray | None = None):
-    """Full-rank fast path: solve the gram system on the smaller side.
-    Returns None when the system looks (near-)rank-deficient; a rank-deficient
-    gram solve can satisfy the normal equations without being min-norm, so the
-    guard is on conditioning, not on the residual.  The solves release the
-    GIL, so sweep workers overlap."""
-    n, p = X.shape
+def _mn2ls_cholesky(X: np.ndarray | None, y: np.ndarray, factor: np.ndarray | None = None):
+    """Full-rank fast path, and the one place that decides between it and
+    the SVD route.  X holds the fit's k rows.  With k >= p it solves the
+    normal equations.  With k < p it solves in row space for the weights
+    w = (X X')^{-1} y on the leading k x k block of `factor`, an upper
+    Cholesky factor (X X' is factored when `factor` is None), and returns
+    X' w.  With X None the fit is in row space on the leading k = len(y)
+    rows of the order that `factor` factors, and the return is w itself.
+
+    Returns None when the system looks (near-)rank-deficient; a
+    rank-deficient gram solve can satisfy the normal equations without being
+    min-norm, so the guard is on conditioning, not on the residual.  The
+    solves release the GIL, so sweep workers overlap."""
+    k = len(y)
     try:
-        if n >= p:
+        if X is not None and k >= X.shape[1]:
             U = _lapack.cho_factor(X.T @ X)
-            if not _well_conditioned(U, p):
+            if not _well_conditioned(U, X.shape[1]):
                 return None
-            beta = _lapack.cho_solve(U, X.T @ y)
+            out = _lapack.cho_solve(U, X.T @ y)
         else:
             U = _lapack.cho_factor(X @ X.T) if factor is None else factor
-            if not _well_conditioned(U, n):
+            if not _well_conditioned(U, k):
                 return None
-            beta = X.T @ _lapack.cho_solve(U, y, n)
+            out = _lapack.cho_solve(U, y, k)
+            if X is not None:
+                out = X.T @ out
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(beta)):
+    if not np.all(np.isfinite(out)):
         return None
-    return beta
+    return out
 
 
 def _well_conditioned(chol: np.ndarray, k: int) -> bool:
     # diag(U) spread over the leading k x k block approximates sqrt(cond) of
-    # that block's gram; a factor with fewer than k rows (a failed one) fails
+    # that block's gram; a factor with fewer than k rows (one cut at a failed
+    # pivot) fails
     d = np.abs(np.diag(chol)[:k])
     return d.size == k and d.min() > CHOL_DIAG_RATIO * d.max()
 
@@ -198,6 +209,59 @@ def fit_null(data: Dataset) -> LinearPredictor:
     return LinearPredictor(np.zeros(data.p))
 
 
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not elementwise
+class RowFit:
+    """A linear fit on rows of a dataset, kept as beta = X' weights + primal
+    with X its features: `weights` has one entry per row and `primal` one
+    per column, and None stands for zero.  Fits on rows of one training
+    split add and average in this form, and beta is formed once, by
+    `predictor`.  A RowFit holds no reference to its dataset, which keeps
+    it in its memo without a reference cycle."""
+
+    weights: np.ndarray | None = None
+    primal: np.ndarray | None = None
+
+    def fitted(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
+        """X[rows] beta without forming beta: the weights part reads
+        data.row_gram()[rows]."""
+        out = None
+        if self.weights is not None:
+            out = data.row_gram()[rows] @ self.weights
+        if self.primal is not None:
+            primal = data.features[rows] @ self.primal
+            out = primal if out is None else out + primal
+        return out
+
+    def __add__(self, other: "RowFit") -> "RowFit":
+        return RowFit(_sum(self.weights, other.weights), _sum(self.primal, other.primal))
+
+    @staticmethod
+    def mean(fits) -> "RowFit":
+        """The part-wise average of fits on rows of one dataset."""
+        if len(fits) == 1:
+            return fits[0]
+        return RowFit(_mean([f.weights for f in fits]), _mean([f.primal for f in fits]))
+
+    def predictor(self, data: Dataset) -> LinearPredictor:
+        beta = self.primal
+        if self.weights is not None:
+            dual = data.features.T @ self.weights
+            beta = dual if beta is None else dual + beta
+        return LinearPredictor(beta)
+
+
+def _sum(a, b):
+    return b if a is None else a if b is None else a + b
+
+
+def _mean(parts):
+    given = [part for part in parts if part is not None]
+    if not given:
+        return None
+    zero = np.zeros_like(given[0])
+    return np.mean([zero if part is None else part for part in parts], axis=0)
+
+
 @dataclass(frozen=True)
 class BaseProcedure:
     """A named base prediction procedure, optionally with a penalty level."""
@@ -237,27 +301,44 @@ class BaseProcedure:
         return cls("null")
 
     def fit(self, data: Dataset, rows=None, response=None, k=None) -> LinearPredictor:
+        """The predictor of `row_fit(data, rows, response, k)`."""
+        return self.row_fit(data, rows, response, k).predictor(data)
+
+    def row_fit(self, data: Dataset, rows=None, response=None, k=None) -> RowFit:
         """The fit on the first `k` of row indices `rows` of `data` (all rows
         when `rows` is None, all of `rows` when `k` is None), with `response`
-        in place of their responses (residual fits).  mn2ls on fewer rows
-        than columns solves with the leading block of
-        `data.order_factor(rows)`, so fits on leading rows of one `rows` share
-        one Cholesky factor.  A fit on rows with their own responses is kept
-        on `data` per (procedure, rows, k): under nested draws each one-step
-        pilot is the fit of a zero-step-sized candidate."""
-        if rows is None or response is not None:
-            return self._fit(data, rows, response, k)
-        key = (self, np.asarray(rows, dtype=np.intp).tobytes(), k)
-        return data.memo(key, lambda: self._fit(data, rows, None, k))
+        in place of their responses (residual fits).
 
-    def _fit(self, data, rows, response, k) -> LinearPredictor:
-        if rows is not None or response is not None:
-            idx = None if rows is None else np.asarray(rows, dtype=np.intp)[:k]
-            X = data.features if idx is None else data.features[idx]
-            y = data.response[idx] if response is None else response
+        mn2ls on k < p rows solves in row space: its weights over those rows
+        come from the leading k x k block of `data.order_factor(rows)`, so
+        fits on leading rows of one `rows` share one Cholesky factor, and no
+        k x p gather or product is formed.  Where `_mn2ls_cholesky` rejects
+        that block, and for mn2ls on k >= p rows and every other kind, the
+        fit runs on the gathered rows and is the primal part.  A fit on rows
+        with their own responses is kept on `data` per (procedure, rows, k):
+        under nested draws each one-step pilot is the fit of a
+        zero-step-sized candidate."""
+        if rows is None or response is not None:
+            return self._row_fit(data, rows, response, k)
+        key = (self, np.asarray(rows, dtype=np.intp).tobytes(), k)
+        return data.memo(key, lambda: self._row_fit(data, rows, None, k))
+
+    def _row_fit(self, data, rows, response, k) -> RowFit:
+        idx = None if rows is None else np.asarray(rows, dtype=np.intp)[:k]
+        fit_on = data
+        if idx is not None or response is not None:
+            y = response if response is not None else data.response[idx]
             if self.kind == "mn2ls" and idx is not None and idx.size < data.p:
-                return LinearPredictor(_mn2ls(X, y, data.order_factor(rows)))
-            data = Dataset(X, y)
+                w = _mn2ls_cholesky(None, y, data.order_factor(rows))
+                if w is None:
+                    return RowFit(primal=_lstsq(data.features[idx], y))
+                weights = np.zeros(data.n)
+                weights[idx] = w
+                return RowFit(weights=weights)
+            fit_on = Dataset(data.features if idx is None else data.features[idx], y)
+        return RowFit(primal=self._fit(fit_on).coefficients)
+
+    def _fit(self, data: Dataset) -> LinearPredictor:
         if self.kind == "mn2ls":
             return fit_mn2ls(data)
         if self.kind == "mn1ls":

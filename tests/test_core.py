@@ -12,6 +12,7 @@ from riskmono.core import (
     row_order,
     split_train_test,
 )
+from riskmono.cv_select import CandidateFamily, cross_validate
 from riskmono.datagen import ConditionalSampler, DataModel
 
 
@@ -39,6 +40,20 @@ class TestDataset:
         data = make_data(5)
         with pytest.raises(ValueError):
             data.features[0, 0] = 1.0
+
+    def test_memo_keeps_values_and_rejects_none(self):
+        data = make_data(6)
+        calls = []
+        make = lambda: calls.append(1) or np.arange(3)
+        first = data.memo("k", make)
+        assert data.memo("k", make) is first and len(calls) == 1
+        # None marks a missing entry: a make() returning it is a programming
+        # error, which cross-validation must not record as a failed candidate
+        with pytest.raises(TypeError, match="returned None"):
+            data.memo("none", lambda: None)
+        family = CandidateFamily(("bug",), lambda xi: lambda train: train.memo("none", lambda: None))
+        with pytest.raises(TypeError, match="returned None"):
+            cross_validate(family, make_data(12), n_te=4)
 
     def test_csv_roundtrip(self, tmp_path):
         data = make_data(6, p=4, seed=1)

@@ -107,11 +107,33 @@ class TestFailures:
         with pytest.raises(scipy.linalg.LinAlgError):
             _lapack.cho_factor(X @ X.T)
         assert _mn2ls_cholesky(X, y) is None
-        # the shared factor of these rows failed too: it is 0 x 0 and rejected
+        # the shared factor of these rows stops at pivot 4: it keeps the
+        # leading 3 x 3 block, which rejects every fit on 4 or more rows and
+        # still solves the fit on rows 0-2
         U = Dataset(X, y).order_factor(np.arange(8))
-        assert U.shape == (0, 0) and _mn2ls_cholesky(X, y, U) is None
+        assert U.shape == (3, 3) and _mn2ls_cholesky(X, y, U) is None
+        assert _mn2ls_cholesky(None, y[:4], U) is None
+        np.testing.assert_allclose(X[:3].T @ _mn2ls_cholesky(None, y[:3], U),
+                                   np.linalg.pinv(X[:3]) @ y[:3], rtol=1e-10, atol=1e-12)
         beta = fit_mn2ls(Dataset(X, y)).coefficients
         np.testing.assert_allclose(beta, np.linalg.pinv(X) @ y, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("n, zero", [(5, 0), (40, 17), (300, 200)])
+    def test_failed_factor_keeps_its_leading_block(self, n, zero):
+        # a zero row makes pivot zero + 1 exactly zero; dpotrf has completed
+        # the factor of the leading block by then, blocked or not
+        X = np.random.default_rng(n).standard_normal((n, n + 10))
+        X[zero] = 0.0
+        G = X @ X.T
+        with pytest.raises(_lapack.NotPositiveDefinite, match=f"{zero + 1}-th leading minor") as exc:
+            _lapack.cho_factor(G)
+        leading = exc.value.leading
+        assert isinstance(exc.value, scipy.linalg.LinAlgError)
+        assert leading.shape == (zero, zero) and leading.flags.f_contiguous
+        if zero:
+            want = scipy.linalg.cho_factor(G[:zero, :zero], check_finite=False)[0]
+            np.testing.assert_allclose(np.triu(leading), np.triu(want), rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="square"):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmono import BaseProcedure, Dataset, MonotonizeConfig, one_step, zero_step
-from riskmono import _lapack, predictors
+from riskmono import _lapack, monotonize, predictors
 from riskmono.core import child_seed, row_order, split_train_test
 from riskmono.monotonize import (
     NULL_INDEX,
@@ -14,6 +15,7 @@ from riskmono.monotonize import (
     onestep_ingredient,
     zero_step_grid,
 )
+from riskmono.predictors import fit_mn2ls
 
 from conftest import onestep_ingredient_closed_form, random_dataset, stack_datasets
 
@@ -224,19 +226,27 @@ def _cv_train(data, cfg):
 def _bagged_by_hand(base, train, n1, n2, M, seed):
     # bag draw j of every candidate: order = row_order(train.n, seed, j); the
     # pilot is base.fit on order[:n1], and for n2 > 0 the ridgeless residual
-    # fit is mn2ls's own route on order[::-1][:n2]
-    coefs = []
+    # fit is mn2ls's own route on order[::-1][:n2], which gives weights over
+    # the training rows (fewer rows than columns) or coefficients.  The draws
+    # average part-wise: beta = X' mean(weights) + mean(coefficients)
+    coefs, weights = [], []
     for j in range(M):
         order = row_order(train.n, seed, j)
-        pilot = base.fit(train.rows(order[:n1])).coefficients
+        pilot, w = base.fit(train.rows(order[:n1])).coefficients, None
         if n2 > 0:
             idx2 = order[::-1][:n2]
             resid = train.response[idx2] - train.features[idx2] @ pilot
-            pilot = pilot + BaseProcedure.mn2ls().fit(
-                train, order[::-1], response=resid, k=n2
-            ).coefficients
+            adjust = BaseProcedure.mn2ls().row_fit(train, order[::-1], response=resid, k=n2)
+            if adjust.weights is None:
+                pilot = pilot + adjust.primal
+            w = adjust.weights
         coefs.append(pilot)
-    return np.mean(coefs, axis=0)
+        weights.append(w)
+    beta = np.mean(coefs, axis=0)
+    if all(w is None for w in weights):
+        return beta
+    weights = [np.zeros(train.n) if w is None else w for w in weights]
+    return train.features.T @ np.mean(weights, axis=0) + beta
 
 
 class TestGenericBase:
@@ -317,7 +327,8 @@ class TestSharedFactor:
     """Every mn2ls candidate on fewer rows than columns solves with a block
     of one Cholesky factor per row order; it matches an independent SVD
     least-squares fit on the same rows to 1e-9, and a candidate whose rows
-    make the factor fail or its block ill-conditioned takes lstsq."""
+    hold a repeated pair, which the factor stops at or makes ill-conditioned,
+    takes lstsq."""
 
     @pytest.mark.parametrize("M", [1, 3])
     @pytest.mark.parametrize("proc", [zero_step, one_step], ids=lambda f: f.__name__)
@@ -325,21 +336,31 @@ class TestSharedFactor:
     def test_candidates_match_lstsq_on_the_same_rows(self, rng, monkeypatch, proc, M, design):
         data = {
             "distinct": lambda: random_dataset(rng, 70, 90)[0],
-            "repeated_rows": lambda: _repeated_rows(rng),  # every factorization fails
+            "repeated_rows": lambda: _repeated_rows(rng),  # factorizations stop at a pivot
             "near_repeated_rows": lambda: _repeated_rows(rng, noise=3e-6),  # the check rejects
         }[design]()
         cfg = MonotonizeConfig(M=M, block=8, n_te=10, seed=23)
-        factored, fits = [], []
+        factored, fits, owners = [], [], {}
         cho_factor, cholesky = _lapack.cho_factor, predictors._mn2ls_cholesky
+        order_factor = Dataset.order_factor
         monkeypatch.setattr(
             _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
         )
 
+        def recorded_factor(split, order):
+            U = order_factor(split, order)
+            owners[id(U)] = (split, np.asarray(order))
+            return U
+
         def recorded(X, y, factor=None):
             beta = cholesky(X, y, factor)
+            if X is None:  # a fit in row space on the leading rows of factor's order
+                split, order = owners[id(factor)]
+                X = split.features[order[: len(y)]]
             fits.append((_holds_a_repeat(X), beta is None))
             return beta
 
+        monkeypatch.setattr(Dataset, "order_factor", recorded_factor)
         monkeypatch.setattr(predictors, "_mn2ls_cholesky", recorded)
         table, _ = proc(data, BaseProcedure.mn2ls(), cfg)
         monkeypatch.undo()
@@ -365,13 +386,74 @@ class TestSharedFactor:
         pilots = {n1 for n1, _ in sizes.values()}
         adjustments = sum(n2 > 0 for _, n2 in sizes.values())
         assert len(fits) == M * (len(pilots) + adjustments)
+        # a fit on rows holding a repeated pair never keeps the factor, and
+        # every other fit solves on it: a failed factorization keeps the block
+        # before its failed pivot, and the check reads only the leading k
+        # diagonal entries
+        assert all(fallback == dup for dup, fallback in fits)
         if design == "distinct":
-            assert not any(dup or fallback for dup, fallback in fits)
+            assert not any(dup for dup, _ in fits)
         else:
-            # a fit on rows holding a repeated pair never keeps the factor
-            assert any(dup for dup, _ in fits)
-            assert all(fallback for dup, fallback in fits if dup)
-        if design == "near_repeated_rows":
-            # the check reads only the leading k diagonal entries: a leading
-            # block without a repeat still solves on the shared factor
-            assert any(not fallback for dup, fallback in fits if not dup)
+            assert any(dup for dup, _ in fits) and any(not dup for dup, _ in fits)
+
+
+def _primal_mn2ls(train, rows, y):
+    # the coefficient-space fit: gather the rows, solve their row gram by
+    # Cholesky (fewer rows than columns) and return X' w
+    X = train.features[rows]
+    if len(rows) >= train.p:
+        return fit_mn2ls(Dataset(X, y)).coefficients
+    return X.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(X @ X.T), y)
+
+
+def _primal_by_hand(train, n1, n2, M, seed):
+    # every ridgeless fit in coefficient space, with residual y2 - X2 beta1
+    coefs = []
+    for j in range(M):
+        order = row_order(train.n, seed, j)
+        beta = _primal_mn2ls(train, order[:n1], train.response[order[:n1]])
+        if n2 > 0:
+            idx2 = order[::-1][:n2]
+            beta = beta + _primal_mn2ls(train, idx2, train.response[idx2] - train.features[idx2] @ beta)
+        coefs.append(beta)
+    return np.mean(coefs, axis=0)
+
+
+class TestRowSpace:
+    """mn2ls candidates fit in the rows of the training split: the same
+    coefficients as the fits in coefficient space, from one draw of each row
+    order per training split."""
+
+    @pytest.mark.parametrize("p", [40, 90])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("proc", [zero_step, one_step], ids=lambda f: f.__name__)
+    def test_candidates_match_the_coefficient_space_route(self, rng, proc, M, p):
+        # p = 40 puts the larger pilots on k >= p rows (primal part), p = 90
+        # puts every fit in row space
+        data, _ = random_dataset(rng, 70, p)
+        cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=24)
+        table, _ = proc(data, BaseProcedure.mn2ls(), cfg)
+        train = _cv_train(data, cfg)
+        if proc is zero_step:
+            sizes = {xi: (k, 0) for xi, k in zero_step_grid(data.n, cfg.n_te, cfg.block)}
+        else:
+            sizes = {(a, b): (n1, n2)
+                     for a, b, n1, n2 in one_step_grid(data.n, cfg.n_te, cfg.block)}
+        for row in table.rows:
+            if row.index != NULL_INDEX:
+                want = _primal_by_hand(train, *sizes[row.index], M, cfg.seed)
+                err = np.max(np.abs(row.predictor.coefficients - want))
+                assert err <= 1e-13 * np.max(np.abs(want)), (row.index, err)
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("proc", [zero_step, one_step], ids=lambda f: f.__name__)
+    def test_each_order_is_drawn_once_per_training_split(self, rng, monkeypatch, proc, M):
+        data, _ = random_dataset(rng, 70, 90)
+        cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=25)
+        drawn = []
+        draw = monotonize.row_order
+        monkeypatch.setattr(
+            monotonize, "row_order", lambda n, seed, j: drawn.append((n, seed, j)) or draw(n, seed, j)
+        )
+        proc(data, BaseProcedure.mn2ls(), cfg)
+        assert drawn == [(data.n - cfg.n_te, cfg.seed, j) for j in range(M)]

@@ -391,15 +391,15 @@ class TestFitRows:
         train, _ = random_dataset(rng, 30, 50)
         order = rng.permutation(30)
         base = BaseProcedure.mn2ls()
-        first = base.fit(train, order, k=12)
-        assert base.fit(train, order, k=12) is first
-        assert base.fit(train, order, k=13) is not first
-        assert base.fit(train, order[::-1], k=12) is not first
-        assert BaseProcedure.ridge(0.3).fit(train, order, k=12) is not first
+        first = base.row_fit(train, order, k=12)
+        assert base.row_fit(train, order, k=12) is first
+        assert base.row_fit(train, order, k=13) is not first
+        assert base.row_fit(train, order[::-1], k=12) is not first
+        assert BaseProcedure.ridge(0.3).row_fit(train, order, k=12) is not first
         # residual fits carry their own responses and are not kept
         resid = rng.standard_normal(12)
-        again = base.fit(train, order, response=resid, k=12)
-        assert base.fit(train, order, response=resid, k=12) is not again
+        again = base.row_fit(train, order, response=resid, k=12)
+        assert base.row_fit(train, order, response=resid, k=12) is not again
 
     @pytest.mark.parametrize(
         "base",
