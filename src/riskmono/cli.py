@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 
@@ -172,16 +173,22 @@ def _cmd_monotonize(args) -> int:
     proc = zero_step if args.proc == "zero" else one_step
     table, pred = proc(data, base, cfg)
     print(f"# {args.proc}-step, base={base.kind}, M={cfg.M}, n={data.n}, p={data.p}")
-    print("index,estimated_risk,status")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["index", "estimated_risk", "status"])
     for row in table.rows:
-        mark = "selected" if row.index == table.selected else ""
         if row.estimate is None:
-            print(f"{row.index},,failed: {row.error}")
+            out.writerow([_index_field(row.index), "", f"failed: {row.error}"])
         else:
-            print(f"{row.index},{row.estimate.value:.12g},{mark}")
-    print(f"# selected index: {table.selected}")
+            mark = "selected" if row.index == table.selected else ""
+            out.writerow([_index_field(row.index), f"{row.estimate.value:.12g}", mark])
+    print(f"# selected index: {_index_field(table.selected)}")
     print("# coefficients: " + " ".join(f"{c:.12g}" for c in pred.coefficients))
     return 0
+
+
+def _index_field(index) -> str:
+    # a one-step index (xi1, xi2) prints as xi1:xi2, one CSV field
+    return ":".join(map(str, index)) if isinstance(index, tuple) else str(index)
 
 
 def _cmd_selftest(args) -> int:

@@ -8,15 +8,18 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .core import Dataset, LinearPredictor, child_seed, split_train_test
+from .predictors import RowFit
 from .risk_estimation import AVG, CenteringMethod, RiskEstimate, estimate_risk
 
 
 @dataclass(frozen=True)
 class CandidateFamily:
-    """Ordered candidate indices plus a fitter mapping index -> (train -> predictor)."""
+    """Ordered candidate indices plus a fitter mapping index -> (train ->
+    RowFit): each candidate's fit on the training split, in row-space form,
+    so that `cross_validate` forms every candidate's coefficients at once."""
 
     indices: tuple
-    fitter: Callable[[Any], Callable[[Dataset], LinearPredictor]]
+    fitter: Callable[[Any], Callable[[Dataset], RowFit]]
 
     def __post_init__(self):
         if len(self.indices) == 0:
@@ -59,6 +62,10 @@ def default_test_size(n: int) -> int:
     return min(max(1, n_te), n - 1)
 
 
+# a candidate raising one of these is recorded as failed; anything else propagates
+_CANDIDATE_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
+
 def cross_validate(
     family: CandidateFamily,
     data: Dataset,
@@ -69,25 +76,32 @@ def cross_validate(
     """Split once, fit every candidate on the same training split, estimate
     each risk on the same test split, and return the estimated-risk minimizer.
 
-    Ties go to the earliest index in declared order.  A candidate whose fit or
-    risk estimate raises a ValueError, ArithmeticError or RuntimeError (which
-    covers the solver, configuration and linear-algebra errors) is recorded
-    with an error marker and excluded from selection rather than aborting the
-    run; any other exception propagates.
+    The candidates' `RowFit`s form their coefficients in one product,
+    `RowFit.stack`, and each candidate's predictor is a row of the result.
+    Ties go to the earliest index in declared order.  A candidate whose fit,
+    coefficients (non-finite ones raise ValueError) or risk estimate raises
+    a ValueError, ArithmeticError or RuntimeError (which covers the solver,
+    configuration and linear-algebra errors) is recorded with an error
+    marker and excluded from selection rather than aborting the run; any
+    other exception propagates.
     """
     if n_te is None:
         n_te = default_test_size(data.n)
     train, test = split_train_test(data, n_te, child_seed(seed, "cv-split"))
 
-    rows = []
+    by_index, fits = {}, {}
     for xi in family.indices:
         try:
-            pred = family.fitter(xi)(train)
-            est = estimate_risk(pred, test, cen)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            rows.append(CandidateRow(xi, None, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.append(CandidateRow(xi, est, pred))
+            fits[xi] = family.fitter(xi)(train)
+        except _CANDIDATE_ERRORS as exc:
+            by_index[xi] = _failed(xi, exc)
+    for xi, beta in zip(fits, RowFit.stack(list(fits.values()), train)):
+        try:
+            pred = LinearPredictor(beta)
+            by_index[xi] = CandidateRow(xi, estimate_risk(pred, test, cen), pred)
+        except _CANDIDATE_ERRORS as exc:
+            by_index[xi] = _failed(xi, exc)
+    rows = [by_index[xi] for xi in family.indices]
 
     selected_row = None
     best = math.inf
@@ -100,3 +114,7 @@ def cross_validate(
             "every candidate failed: " + "; ".join(f"{r.index}: {r.error}" for r in rows)
         )
     return RiskTable(tuple(rows), selected_row.index), selected_row.predictor
+
+
+def _failed(xi, exc) -> CandidateRow:
+    return CandidateRow(xi, None, None, f"{type(exc).__name__}: {exc}")

@@ -153,9 +153,14 @@ def bagged_ingredient(
     all sizes are nested, so every mn2ls fit on fewer rows than columns
     solves on one of two Cholesky factors per draw, kept on `train`: that of
     `order` and that of its reverse.  The draws average in row-space form
-    (weights over the training rows plus a primal part), so the coefficients
-    are formed once, as X' w + primal.
+    (weights over the training rows plus a primal part, `_bagged`), and the
+    coefficients are formed once, as X' w + primal.
     """
+    return _bagged(base, train, n1, M, seed, n2).predictor(train)
+
+
+def _bagged(base, train, n1, M, seed, n2) -> RowFit:
+    """`bagged_ingredient` as a `RowFit`, before its coefficients are formed."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     fits = []
@@ -163,28 +168,31 @@ def bagged_ingredient(
         order = train.memo(("row_order", seed, j), lambda: row_order(train.n, seed, j))
         fits.append(_onestep(base, train, order, order[::-1], n1, n2))
     # valid for linear predictors: averaging coefficients == averaging predictions
-    return RowFit.mean(fits).predictor(train)
+    return RowFit.mean(fits)
 
 
 def _candidate(base, cfg, n1, n2=0):
-    """Candidate fit train -> predictor: `bagged_ingredient` on the M row
-    orders of cfg.seed, so all candidates of a training split share them.
-    With n2 = 0 it is zero-step candidate n1, and one-step's (xi1, 0) rows
-    are these same fits, bit for bit.  Each candidate alone keeps the law of
-    independent draws: its pilot rows are a uniform n1-subset and its
+    """Candidate fit train -> RowFit: `bagged_ingredient` on the M row orders
+    of cfg.seed, so all candidates of a training split share them, kept in
+    row-space form; `cross_validate` forms the coefficients of all
+    candidates of the split in one product.  With n2 = 0 it is zero-step
+    candidate n1, and one-step's (xi1, 0) rows are these same row fits, bit
+    for bit (their coefficients come from each procedure's own product, so
+    they can differ in the last bits).  Each candidate alone keeps the law
+    of independent draws: its pilot rows are a uniform n1-subset and its
     adjustment rows a uniform n2-subset of their complement; only the joint
     law across candidates is nested."""
-    return lambda train: bagged_ingredient(base, train, n1, cfg.M, cfg.seed, n2)
+    return lambda train: _bagged(base, train, n1, cfg.M, cfg.seed, n2)
 
 
 def _select(data: Dataset, cfg: MonotonizeConfig, candidates):
     """Cross-validated selection over candidates(n_te, block), a dict
-    index -> (train -> predictor), plus the null predictor when configured.
+    index -> (train -> RowFit), plus the null predictor when configured.
     Every candidate fits on rows of the one training split."""
     n_te = cfg.resolve_n_te(data.n)
     fits = candidates(n_te, cfg.resolve_block(data.n))
     if cfg.include_null:
-        fits[NULL_INDEX] = BaseProcedure.null().fit
+        fits[NULL_INDEX] = BaseProcedure.null().row_fit
     return cross_validate(CandidateFamily(tuple(fits), fits.__getitem__), data, n_te, cfg.cen,
                           cfg.seed)
 

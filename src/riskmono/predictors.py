@@ -214,9 +214,10 @@ class RowFit:
     """A linear fit on rows of a dataset, kept as beta = X' weights + primal
     with X its features: `weights` has one entry per row and `primal` one
     per column, and None stands for zero.  Fits on rows of one training
-    split add and average in this form, and beta is formed once, by
-    `predictor`.  A RowFit holds no reference to its dataset, which keeps
-    it in its memo without a reference cycle."""
+    split add and average in this form, and their coefficients are formed
+    once, by `stack` (all candidates of a split in one product) or
+    `predictor` (one fit).  A RowFit holds no reference to its dataset,
+    which keeps it in its memo without a reference cycle."""
 
     weights: np.ndarray | None = None
     primal: np.ndarray | None = None
@@ -242,12 +243,37 @@ class RowFit:
             return fits[0]
         return RowFit(_mean([f.weights for f in fits]), _mean([f.primal for f in fits]))
 
+    @staticmethod
+    def stack(fits, data: Dataset) -> np.ndarray:
+        """The coefficients of `fits`, fits on rows of `data`, as the rows of
+        one read-only matrix B, in order.  The weights of the fits that have
+        them are the rows of W, and B = W X plus the primal parts: one
+        product for all fits.  Fits without weights copy their primal part.
+        A fit with non-finite weights gets a NaN row and stays out of W:
+        the BLAS kernels' blocking can make a row's last bits depend on the
+        number of rows of W, and this way the other rows are, bit for bit,
+        those of the stack without that fit."""
+        B = np.zeros((len(fits), data.p))
+        dual = []
+        for i, fit in enumerate(fits):
+            if fit.weights is None:
+                if fit.primal is not None:
+                    B[i] = fit.primal
+            elif np.all(np.isfinite(fit.weights)):
+                dual.append(i)
+            else:
+                B[i] = np.nan
+        if dual:
+            B[dual] = np.stack([fits[i].weights for i in dual]) @ data.features
+            for i in dual:
+                if fits[i].primal is not None:
+                    B[i] += fits[i].primal
+        B.setflags(write=False)
+        return B
+
     def predictor(self, data: Dataset) -> LinearPredictor:
-        beta = self.primal
-        if self.weights is not None:
-            dual = data.features.T @ self.weights
-            beta = dual if beta is None else dual + beta
-        return LinearPredictor(beta)
+        """This fit's coefficients alone: the one row of `stack`."""
+        return LinearPredictor(RowFit.stack([self], data)[0])
 
 
 def _sum(a, b):

@@ -315,8 +315,8 @@ def test_ac10_oracle_inequalities():
 
         def fitter(xi):
             if xi == "null":
-                return lambda train: BaseProcedure.null().fit(train)
-            return lambda train: BaseProcedure.ridge(xi).fit(train)
+                return lambda train: BaseProcedure.null().row_fit(train)
+            return lambda train: BaseProcedure.ridge(xi).row_fit(train)
 
         family = CandidateFamily(lams + ("null",), fitter)
         cen = AVG if run % 2 else Mom(0.3)

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from riskmono import Dataset
+from riskmono import Dataset, monotonize
 from riskmono.cli import main, parse_centering, parse_gamma_grid, read_config
 from riskmono.monotonize import ConfigError
 from riskmono.risk_estimation import AVG, Mom
@@ -186,6 +188,32 @@ class TestMonotonizeCommand:
         rc = main(["monotonize", "--data", str(path), "--proc", "zero", "--base", "mn2"])
         assert rc == 0
         assert "# selected index:" in capsys.readouterr().out
+
+    def test_one_step_table_is_csv(self, tmp_path, capsys, monkeypatch):
+        # one-step indices are pairs, and failure reasons can hold commas:
+        # every table row must still parse as the header's three fields
+        rng = np.random.default_rng(2)
+        path = tmp_path / "d.csv"
+        Dataset(rng.standard_normal((60, 80)), rng.standard_normal(60)).to_csv(path)
+        onestep = monotonize._onestep
+
+        def failing(base, train, idx1, idx2, n1, n2):
+            if n2 == 8:
+                raise ValueError("rows 1, 2 repeat")
+            return onestep(base, train, idx1, idx2, n1, n2)
+
+        monkeypatch.setattr(monotonize, "_onestep", failing)
+        rc = main(["monotonize", "--data", str(path), "--proc", "one", "--base", "mn2",
+                   "--nte", "10", "--block", "8", "--seed", "3"])
+        assert rc == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["index", "estimated_risk", "status"]
+        assert all(len(row) == 3 for row in rows)
+        by_index = {row[0]: row for row in rows[1:]}
+        assert by_index["2:0"][2] in ("", "selected") and float(by_index["2:0"][1]) > 0
+        assert by_index["2:1"] == ["2:1", "", "failed: ValueError: rows 1, 2 repeat"]
+        assert sum(row[2] == "selected" for row in rows) == 1
 
     def test_missing_data_file(self, capsys):
         rc = main(

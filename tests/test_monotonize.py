@@ -15,7 +15,7 @@ from riskmono.monotonize import (
     onestep_ingredient,
     zero_step_grid,
 )
-from riskmono.predictors import fit_mn2ls
+from riskmono.predictors import RowFit, fit_mn2ls
 
 from conftest import onestep_ingredient_closed_form, random_dataset, stack_datasets
 
@@ -225,11 +225,11 @@ def _cv_train(data, cfg):
 
 def _bagged_by_hand(base, train, n1, n2, M, seed):
     # bag draw j of every candidate: order = row_order(train.n, seed, j); the
-    # pilot is base.fit on order[:n1], and for n2 > 0 the ridgeless residual
-    # fit is mn2ls's own route on order[::-1][:n2], which gives weights over
-    # the training rows (fewer rows than columns) or coefficients.  The draws
-    # average part-wise: beta = X' mean(weights) + mean(coefficients)
-    coefs, weights = [], []
+    # pilot is base.fit on order[:n1], a primal part, and for n2 > 0 the
+    # ridgeless residual fit is mn2ls's own route on order[::-1][:n2], which
+    # gives weights over the training rows (fewer rows than columns) or a
+    # primal part.  The draws average part-wise, into weights and a primal part
+    primals, weights = [], []
     for j in range(M):
         order = row_order(train.n, seed, j)
         pilot, w = base.fit(train.rows(order[:n1])).coefficients, None
@@ -240,13 +240,22 @@ def _bagged_by_hand(base, train, n1, n2, M, seed):
             if adjust.weights is None:
                 pilot = pilot + adjust.primal
             w = adjust.weights
-        coefs.append(pilot)
+        primals.append(pilot)
         weights.append(w)
-    beta = np.mean(coefs, axis=0)
     if all(w is None for w in weights):
-        return beta
+        return RowFit(primal=np.mean(primals, axis=0))
     weights = [np.zeros(train.n) if w is None else w for w in weights]
-    return train.features.T @ np.mean(weights, axis=0) + beta
+    return RowFit(np.mean(weights, axis=0), np.mean(primals, axis=0))
+
+
+def _assert_built_by_hand(table, train, sizes, base, M, seed):
+    # the hand-built fits in family order, null row included, formed by the
+    # one product that cross_validate forms the candidates' coefficients with
+    fits = [RowFit(primal=np.zeros(train.p)) if row.index == NULL_INDEX
+            else _bagged_by_hand(base, train, *sizes[row.index], M, seed)
+            for row in table.rows]
+    for row, want in zip(table.rows, RowFit.stack(fits, train)):
+        np.testing.assert_array_equal(row.predictor.coefficients, want)
 
 
 class TestGenericBase:
@@ -262,13 +271,8 @@ class TestGenericBase:
         data, _ = random_dataset(rng, 70, p)
         cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=21)
         table, _ = zero_step(data, base, cfg)
-        train = _cv_train(data, cfg)
-        grid = dict(zero_step_grid(data.n, cfg.n_te, cfg.block))
-        for row in table.rows:
-            if row.index == NULL_INDEX:
-                continue
-            want = _bagged_by_hand(base, train, grid[row.index], 0, M, cfg.seed)
-            np.testing.assert_array_equal(row.predictor.coefficients, want)
+        sizes = {xi: (k, 0) for xi, k in zero_step_grid(data.n, cfg.n_te, cfg.block)}
+        _assert_built_by_hand(table, _cv_train(data, cfg), sizes, base, M, cfg.seed)
 
     @pytest.mark.parametrize("p", [12, 90])
     @pytest.mark.parametrize("M", [1, 3])
@@ -277,14 +281,8 @@ class TestGenericBase:
         data, _ = random_dataset(rng, 70, p)
         cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=22)
         table, _ = one_step(data, base, cfg)
-        train = _cv_train(data, cfg)
-        grid = {(a, b): (n1, n2) for a, b, n1, n2 in one_step_grid(data.n, cfg.n_te, cfg.block)}
-        for row in table.rows:
-            if row.index == NULL_INDEX:
-                continue
-            n1, n2 = grid[row.index]
-            want = _bagged_by_hand(base, train, n1, n2, M, cfg.seed)
-            np.testing.assert_array_equal(row.predictor.coefficients, want)
+        sizes = {(a, b): (n1, n2) for a, b, n1, n2 in one_step_grid(data.n, cfg.n_te, cfg.block)}
+        _assert_built_by_hand(table, _cv_train(data, cfg), sizes, base, M, cfg.seed)
 
 
 def _repeated_rows(rng, noise=0.0):
