@@ -2,6 +2,7 @@
 package as it is: a root name they use cannot disappear unnoticed."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -16,12 +17,46 @@ from riskmono import Dataset
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["compare_fits", "sweep_curves"])
-def test_script_imports_resolve(name):
+def _load_script(name):
     spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports and module constants, not main()
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", ["bench_pairs", "compare_fits", "sweep_curves"])
+def test_script_imports_resolve(name):
+    assert callable(_load_script(name).main)
+
+
+def test_bench_pairs_reports_two_checkouts(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--checkout", f"a={ROOT}",
+         "--checkout", f"b={ROOT}", "--cases", "import,profile_mn2ls", "--pairs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert list(report) == ["script", "host", "envs", "run_seconds", "cases", "checkouts", "pairs",
+                            "outputs_change", "results", "output_sha256", "compare"]
+    assert report["checkouts"] == ["a", "b"]
+    assert set(report["results"]["import"]["b"]) == {"wall_s", "cpu_s", "peak_rss_mb", "import_s"}
+    assert set(report["results"]["profile_mn2ls"]["a"]["wall_s"]) == {"median", "q1", "q3", "samples"}
+    assert list(report["output_sha256"]) == ["profile_mn2ls"]
+    assert report["compare"]["profile_mn2ls"]["wall_s"]["pairs"] == 1
+
+
+def test_bench_pairs_rejects_unequal_outputs():
+    bench = _load_script("bench_pairs")
+    seen = {"one_default,one_pinned": {"a": {"x"}, "b": {"y"}}, "sweep": {"a": {"z"}, "b": {"z"}}}
+    with pytest.raises(SystemExit, match="one_default,one_pinned: the output differs across checkouts"):
+        bench.same_outputs(seen, outputs_change=False)
+    assert bench.same_outputs(seen, outputs_change=True) == {
+        "one_default,one_pinned": {"a": "x", "b": "y"}, "sweep": {"a": "z", "b": "z"}}
+    # a checkout's own outputs must agree, also when outputs may change
+    with pytest.raises(SystemExit, match="sweep: the output varies across samples or environments in b$"):
+        bench.same_outputs({"sweep": {"a": {"z"}, "b": {"z", "w"}}}, outputs_change=True)
 
 
 def test_profile_curves_writes_its_csv(tmp_path):
