@@ -102,7 +102,7 @@ SIMULATE = ("-m", "riskmono.cli", "simulate", "--config", "{tmp}/sim.cfg", "--ou
 CASES = {
     "import": Case(("-c", IMPORT), "pinned", read=lambda out: {"import_s": float(out)}),
     **{f"profile_{kind}": Case(("-m", "riskmono.cli", "profile", "--kind", kind, "--gamma", "0.1:10:20log"),
-                               "pinned", "stdout") for kind in ("mn2ls", "mn1ls")},
+                               "pinned", "stdout") for kind in ("mn2ls", "onestep", "mn1ls")},
     "sweep": Case(SIMULATE, "pinned", "sim.csv", CONFIGS["sweep"]),
     **{f"{name}_{env}": Case(SIMULATE, env, "sim.csv", CONFIGS[name])
        for name in ("zero", "one") for env in ENVS},

@@ -50,8 +50,8 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
         if count == 1:
             return (lo,)
         if scale == "log":
-            return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
-        return tuple(np.linspace(lo, hi, count))
+            return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), count)).tolist())
+        return tuple(np.linspace(lo, hi, count).tolist())
     grid = tuple(sorted(float(tok) for tok in spec.split(",") if tok.strip()))
     if not grid or not all(0 < g < math.inf for g in grid):
         raise ConfigError(f"gamma grid must be nonempty, finite and positive, got {spec!r}")

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -217,18 +218,21 @@ def solve_v(phi: float, H: SpectralInputs = ISOTROPIC) -> FixedPointState:
         raise ValueError(f"fixed point v(0; phi) needs phi > 1, got {phi}")
 
     target = 1.0 / phi
+    hi = g_hi = math.nan  # the bracket's upper end and g there, once found
 
     def g(v):
+        if v == hi:
+            return g_hi
         return H.integrate(lambda r: v * r / (1.0 + v * r)) - target
 
-    lo, hi = 1e-12, 1.0
-    grow = 0
-    while g(hi) < 0.0:
-        hi *= 2.0
+    end, grow = 1.0, 0
+    while (g_end := g(end)) < 0.0:
+        end *= 2.0
         grow += 1
         if grow > 200:
-            raise SolverError(f"failed to bracket v(0; {phi}) below {hi}")
-    v = brentq(g, lo, hi, xtol=1e-24)
+            raise SolverError(f"failed to bracket v(0; {phi}) below {end}")
+    hi, g_hi = end, g_end
+    v = brentq(g, 1e-12, hi, xtol=1e-24)
     residual = abs(g(v))
     if residual > 1e-12:
         raise SolverError(f"fixed-point residual {residual:.2e} at phi={phi}")
@@ -324,23 +328,26 @@ def _exceed_prob(theta: float, tau: float, alpha: float) -> float:
 
 def _solve_alpha(tau: float, prior: Mn1lsPrior, target: float) -> float:
     """Inner equation: find alpha with P(|Theta + tau Z| > alpha tau) = target.
-    The probability is strictly decreasing in alpha."""
-    eps, M = prior.epsilon, prior.magnitude
+    The probability is strictly decreasing in alpha.  f is _exceed_prob
+    inlined, operation for operation: M/tau is formed once, and the zero
+    atom's two equal tails are one erfc."""
+    eps, m, rest = prior.epsilon, prior.magnitude / tau, 1.0 - prior.epsilon
+    hi = f_hi = math.nan  # the bracket's upper end and f there, once found
 
     def f(alpha):
-        return (
-            eps * _exceed_prob(M, tau, alpha)
-            + (1.0 - eps) * _exceed_prob(0.0, tau, alpha)
-            - target
-        )
+        if alpha == hi:
+            return f_hi
+        p0 = 0.5 * math.erfc(alpha / _SQRT2)
+        pm = 0.5 * math.erfc((alpha - m) / _SQRT2) + 0.5 * math.erfc((alpha + m) / _SQRT2)
+        return eps * pm + rest * (p0 + p0) - target
 
-    hi = 1.0
-    grow = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
+    end, grow = 1.0, 0
+    while (f_end := f(end)) > 0.0:
+        end *= 2.0
         grow += 1
         if grow > 200:
             raise SolverError(f"failed to bracket alpha at tau={tau}")
+    hi, f_hi = end, f_end
     return brentq(f, 0.0, hi, xtol=1e-15)
 
 
@@ -349,6 +356,8 @@ def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
 
     Overparameterized branch: tau*^2 where (tau*, alpha*) solves the coupled
     soft-threshold system; the expectations are exact normal-CDF expressions.
+    Each tau is solved for once per call: the bracket search, the root finder
+    and the residual check share one (residual, alpha) per tau.
     """
     if sigma2 <= 0.0:
         raise ValueError(f"noise energy must be > 0, got {sigma2}")
@@ -363,13 +372,20 @@ def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
 
     target = 1.0 / phi
     eps, M = prior.epsilon, prior.magnitude
+    solved = {}  # tau -> (outer residual, alpha)
 
     def outer(tau):
+        if tau in solved:
+            return solved[tau][0]
         alpha = _solve_alpha(tau, prior, target)
-        mse = eps * _threshold_mse(M, tau, alpha) + (1.0 - eps) * _threshold_mse(
-            0.0, tau, alpha
-        )
-        return sigma2 + mse - tau * tau
+        # _threshold_mse(0.0, tau, alpha) is zero + zero: its two tails are
+        # equal and its theta^2 term is +0.0, and zero is never -0.0
+        b = alpha * tau
+        tail = (tau * tau + b * b) * _norm_sf(alpha)
+        zero = tail + (tau * tau * alpha - 2.0 * tau * b) * _norm_pdf(alpha)
+        mse = eps * _threshold_mse(M, tau, alpha) + (1.0 - eps) * (zero + zero)
+        solved[tau] = sigma2 + mse - tau * tau, alpha
+        return solved[tau][0]
 
     lo = math.sqrt(sigma2) * 1e-6
     hi = math.sqrt(sigma2)
@@ -382,8 +398,7 @@ def mn1ls_profile(phi: float, prior: Mn1lsPrior, sigma2: float) -> float:
                 f"failed to bracket tau at phi={phi}: residual {outer(hi):.3e} at tau={hi:.3e}"
             )
     tau = brentq(outer, lo, hi, xtol=1e-15 * math.sqrt(sigma2))
-    res_outer = outer(tau)
-    alpha = _solve_alpha(tau, prior, target)
+    res_outer, alpha = solved[tau]
     res_inner = (
         eps * _exceed_prob(M, tau, alpha)
         + (1.0 - eps) * _exceed_prob(0.0, tau, alpha)
@@ -544,6 +559,8 @@ def monotonize_curve(gammas, profile) -> list[float]:
     repeated.
     """
     gammas = [float(g) for g in gammas]
+    if not all(map(math.isfinite, gammas)):
+        raise ValueError(f"aspect ratios must be finite, got {gammas}")
     if not all(g > 0.0 for g in gammas):
         raise ValueError(f"aspect ratios must be positive, got {gammas}")
     if not gammas:
@@ -551,7 +568,8 @@ def monotonize_curve(gammas, profile) -> list[float]:
     upper = max(1e6, 10.0 * max(gammas))
     scan = np.exp(np.linspace(math.log(min(gammas)), math.log(upper), SCAN_POINTS))
     scan[0] = min(gammas)
-    zs = np.unique(np.concatenate([scan, gammas]))
+    # Python floats: numpy scalars would make the profile's arithmetic slower numpy-scalar operations
+    zs = np.unique(np.concatenate([scan, gammas])).tolist()
     vals = [v if math.isfinite(v) else INF for v in map(profile, zs)]
     at_inf = profile(INF)
 
@@ -566,7 +584,7 @@ def monotonize_curve(gammas, profile) -> list[float]:
     refined: dict[tuple[int, int], float] = {}
     out = []
     for g in gammas:
-        k = int(np.searchsorted(zs, g))
+        k = bisect_left(zs, g)
         i = argmin[k]
         if math.isinf(vals[i]):
             out.append(at_inf)

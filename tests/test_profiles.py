@@ -3,6 +3,7 @@ import inspect
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +510,14 @@ class TestMonotonizeCurve:
             with pytest.raises(ValueError):
                 monotonize_curve(bad, lambda z: 1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gammas_named(self, bad):
+        # rejected up front, before the scan grid would turn them into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                monotonize_curve([2.0, bad], lambda z: 1.0)
+
 
 class TestGridMonotonizedProfile:
     @settings(deadline=None, max_examples=20)
@@ -658,7 +667,7 @@ class TestBrentPort:
             for phi in np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e6), 200)):
                 mn2ls_profile(float(phi), ModelEnergy(4.0, 1.0), H)
         for eps, mag, sigma2 in ((0.1, 3.0, 1.0), (0.5, 1.0, 0.25), (0.02, 20.0, 4.0)):
-            for phi in np.exp(np.linspace(math.log(1.01), math.log(1e3), 20)):
+            for phi in np.exp(np.linspace(math.log(1.01), math.log(1e3), 60)):
                 mn1ls_profile(float(phi), Mn1lsPrior(eps, mag), sigma2)
         for snr in (1.5, 4.0, 10.0, 11.0, 25.0, 200.0):
             for gamma in np.exp(np.linspace(math.log(0.05), math.log(50.0), 24)):
