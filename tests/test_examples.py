@@ -24,7 +24,7 @@ def _load_script(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["bench_pairs", "compare_fits", "sweep_curves"])
+@pytest.mark.parametrize("name", ["bench_pairs", "sweep_curves"])
 def test_script_imports_resolve(name):
     assert callable(_load_script(name).main)
 

@@ -1,34 +1,76 @@
-"""Bit-for-bit pins of the analytic profile engine.
+"""Bit-for-bit pins of the profile engine, the fits, the sweeps and the CLI.
 
 `golden/profiles.json` holds the float hex of `mn1ls_profile`,
-`mn2ls_profile` and `optimize_onestep_iso` on fixed inputs, the SHA-256 of
-three `riskmono profile` CSVs, and the environment that made them.  In that
-environment every value must match bit for bit and every CSV byte for byte.
-Elsewhere (another Python, platform, numpy, or numpy exp kernel, all of which
-can move the last bit) the values must agree to 12 significant digits, and
-the CSV digests are not compared.
+`mn2ls_profile` and `optimize_onestep_iso` on fixed inputs and the SHA-256 of
+three `riskmono profile` CSVs.  `golden/fits.json` holds, per case, the
+SHA-256 of the float bits of
+- each `zero_step` and `one_step` run of `BASES` at M in {1, 3} on
+  `datasets()` (every candidate's index, estimate, coefficients and error,
+  the selected index and the selected coefficients), with its selected index
+  and selected true risk to 12 digits;
+- each `run_sweep` case of `SWEEPS` (every row, `fail_reasons` and the oracle
+  columns included), with each row's CSV fields and `mean_oracle_risk`;
+- each `riskmono simulate`, `monotonize` and `selftest` output of
+  `cli_runs`.
 
-Regenerate, only for a change that is meant to move the numbers, with the
-source tree to pin on the path:
+Each file records the environment that made it.  In that environment every
+value must match bit for bit and every output byte for byte.  Elsewhere
+(another Python, platform, numpy or numpy exp kernel, and for the fits
+another scipy or OpenBLAS core too, all of which can move the last bit) the
+values must agree to 12 significant digits, and the digests are not compared.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py write
+    PYTHONPATH=src python tests/test_golden.py dump OUT
+    PYTHONPATH=src python tests/test_golden.py diff A B
+
+`write` rewrites both files, only for a change that is meant to move the
+numbers.  `dump` pickles the fit runs and sweeps; `diff` reports, per base
+kind, how many runs of two dumps (say, of two checkouts) are bit-identical
+and the largest change in candidate coefficients, in candidate true risk and
+in the selected true risk, and the number of changed selections; then, per
+sweep case, how many rows are bit-identical.  It exits 1 when any run or
+sweep row differs.
 """
 
+import argparse
+import contextlib
+import ctypes
 import hashlib
+import io
 import json
 import math
+import pickle
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from riskmono import Mn1lsPrior, ModelEnergy, cli, mn1ls_profile, mn2ls_profile, optimize_onestep_iso
+from riskmono import (
+    BaseProcedure,
+    Dataset,
+    DataModel,
+    Mn1lsPrior,
+    ModelEnergy,
+    MonotonizeConfig,
+    SweepConfig,
+    cli,
+    generate,
+    mn1ls_profile,
+    mn2ls_profile,
+    one_step,
+    optimize_onestep_iso,
+    run_sweep,
+    sweep,
+    zero_step,
+)
 from riskmono.profiles import SpectralInputs
+from riskmono.sweep import CSV_COLUMNS, _fmt
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "profiles.json"
+FITS = GOLDEN.with_name("fits.json")
 
 MN1LS_PRIORS = ((0.01, 20.0, 1.0), (0.1, 3.0, 1.0), (0.5, 1.0, 0.25))  # (epsilon, magnitude, sigma2)
 SPECTRA = {  # (H, G)
@@ -37,6 +79,44 @@ SPECTRA = {  # (H, G)
 }
 CSV_KINDS = ("mn2ls", "onestep", "mn1ls")
 CSV_GRID = "0.1:10:20log"
+
+N, RHO2, SIGMA2 = 60, 4.0, 1.0
+BASES = {
+    "mn2ls": BaseProcedure.mn2ls(),
+    "ridge": BaseProcedure.ridge(0.3),
+    "lasso": BaseProcedure.lasso(0.5),
+    "null": BaseProcedure.null(),
+    "mn1ls": BaseProcedure.mn1ls(),
+}
+
+# run_sweep cases: dense model at n = 60; "default_block" leaves block and nu
+# to the library; "injected_failures" makes every cell whose data seed is 0
+# mod 3 raise, so some grid points keep valid means next to failed cells and
+# others get NaN; "config_error" fails every cell (block too large for n)
+_SWEEP = dict(n=60, gamma_grid=(0.25, 0.8, 2.0), reps=5, model=DataModel.dense(1, RHO2, SIGMA2),
+              master_seed=11)
+_MONO = MonotonizeConfig(block=8, n_te=12)
+SWEEPS = {
+    "base": dict(procedure="base", n_mc=40),
+    "zero": dict(procedure="zero", mono=_MONO, n_mc=40),
+    "zero_M3": dict(procedure="zero", mono=MonotonizeConfig(M=3, block=8, n_te=12)),
+    "one": dict(procedure="one", mono=_MONO, n_mc=40),
+    "one_M3": dict(procedure="one", mono=MonotonizeConfig(M=3, block=8, n_te=12)),
+    "default_block": dict(procedure="zero"),
+    "injected_failures": dict(procedure="zero", mono=_MONO, reps=8),
+    "config_error": dict(procedure="zero", mono=MonotonizeConfig(block=40, n_te=12)),
+}
+
+# `riskmono simulate` configs, each after _SIMULATE_COMMON
+_SIMULATE_COMMON = "n = 60\ngammas = 0.25:2:3log\nreps = 2\nseed = 5\n"
+SIMULATE = {
+    "base": "rho2 = 4\nn_mc = 40",
+    "zero": "rho2 = 4\nproc = zero\nm = 2\nblock = 8\nn_te = 12\nn_mc = 40",
+    "one": "rho2 = 4\nproc = one\nblock = 8\nn_te = 12\nn_mc = 40",
+    "zero_default_block": "rho2 = 4\nproc = zero",
+    "sparse_mn1_zero": "model = sparse\nepsilon = 0.05\nmagnitude = 3\nbase = mn1\nproc = zero\n"
+                       "block = 8\nn_te = 10",
+}
 
 
 def log_grid(lo, hi, count):
@@ -54,10 +134,30 @@ def environment() -> dict:
             "numpy": np.__version__, "numpy_exp_float64": exp}
 
 
-def csv_digest(kind: str, tmp: Path) -> str:
-    out = tmp / f"{kind}.csv"
-    assert cli.main(["profile", "--kind", kind, "--gamma", CSV_GRID, "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+def _openblas_libraries() -> list:
+    from riskmono import _lapack
+    _lapack._bind()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in sorted(p for p in paths if p.startswith("/") and ".so" in p)]
+
+
+def fits_environment() -> dict:
+    """`environment()` plus the scipy version and the kernel set that numpy's
+    and scipy's OpenBLAS each picked at run time (both are DYNAMIC_ARCH
+    builds), which the fits' BLAS calls depend on."""
+    env = {**environment(), "scipy": scipy.__version__}
+    for lib in _openblas_libraries():
+        for key, symbol in (("numpy_openblas_core", "scipy_openblas_get_corename64_"),
+                            ("scipy_openblas_core", "scipy_openblas_get_corename")):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                env[key] = corename().decode()
+    return env
 
 
 def _x(h: str) -> float:
@@ -97,13 +197,145 @@ def default_inputs() -> dict:
     }
 
 
-def same_environment(golden) -> bool:
-    return golden["environment"] == environment()
+def cli_digest(argv: list) -> str:
+    """SHA-256 of what `riskmono argv` writes: the file after --out, else stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    out = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else stdout.getvalue().encode()
+    return hashlib.sha256(out).hexdigest()
+
+
+def profile_argv(kind: str, tmp: Path) -> list:
+    return ["profile", "--kind", kind, "--gamma", CSV_GRID, "--out", str(tmp / f"{kind}.csv")]
+
+
+def cli_runs(tmp: Path) -> dict:
+    """Case name -> `riskmono` argv of each pinned CLI output; writes the inputs to tmp."""
+    runs = {}
+    for name, config in SIMULATE.items():
+        (tmp / f"{name}.cfg").write_text(_SIMULATE_COMMON + config + "\n", encoding="utf-8")
+        runs[f"simulate_{name}"] = ["simulate", "--config", str(tmp / f"{name}.cfg"),
+                                    "--out", str(tmp / f"{name}.csv")]
+    data = tmp / "data.csv"
+    generate(DataModel.dense(80, RHO2, SIGMA2), N, 21)[0].to_csv(data)
+    for proc in ("zero", "one"):
+        for base in (["mn2"], ["lasso", "--lam", "0.5"]):
+            runs[f"monotonize_{proc}_{base[0]}"] = ["monotonize", "--data", str(data), "--proc", proc,
+                                                    "--base", *base]
+    runs["selftest"] = ["selftest"]
+    return runs
+
+
+_generate = sweep.generate
+
+
+def _failing_generate(model, n, seed):
+    if seed % 3 == 0:
+        raise ArithmeticError(f"injected failure at seed {seed}")
+    return _generate(model, n, seed)
+
+
+def datasets():
+    out = {}
+    for p in (20, 48, 150):
+        out[f"p{p}"] = generate(DataModel.dense(p, RHO2, SIGMA2), N, 100 + p)
+    data, beta0 = generate(DataModel.dense(150, RHO2, SIGMA2), N, 7)
+    X, y = data.features.copy(), data.response.copy()
+    X[30:], y[30:] = X[:30], y[:30]
+    out["p150_repeated_rows"] = (Dataset(X, y), beta0)
+    return out
+
+
+def fits() -> dict:
+    """Every fit run and sweep: what `dump` pickles."""
+    runs = {}
+    data_sets = datasets()
+    for dname, (data, _) in data_sets.items():
+        for kind, base in BASES.items():
+            for M in (1, 3):
+                for pname, proc in (("zero_step", zero_step), ("one_step", one_step)):
+                    cfg = MonotonizeConfig(M=M, n_te=10, block=8, seed=11)
+                    table, pred = proc(data, base, cfg)
+                    rows = [
+                        (
+                            row.index,
+                            None if row.estimate is None else row.estimate.value,
+                            None if row.predictor is None else row.predictor.coefficients.copy(),
+                            row.error,
+                        )
+                        for row in table.rows
+                    ]
+                    runs[(kind, pname, M, dname)] = (rows, table.selected, pred.coefficients.copy())
+    sweeps = {}
+    for name, knobs in SWEEPS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("RISKMONO_THREADS", "2")
+            if name == "injected_failures":
+                mp.setattr(sweep, "generate", _failing_generate)
+            sweeps[name] = run_sweep(SweepConfig(**{**_SWEEP, **knobs})).rows
+    return {"runs": runs, "signals": {name: beta0 for name, (_, beta0) in data_sets.items()},
+            "sweeps": sweeps}
+
+
+def _bits(obj):
+    # floats by their hex form, so NaN equals NaN and -0.0 differs from 0.0
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, np.ndarray):
+        return [obj.dtype.str, obj.shape, obj.tobytes().hex()]
+    if isinstance(obj, dict):
+        return [[k, _bits(v)] for k, v in sorted(obj.items())]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return int(obj) if isinstance(obj, np.integer) else obj
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(_bits(obj)).encode()).hexdigest()
+
+
+def _risk(beta, beta0):
+    d = beta - beta0
+    return float(d @ d + SIGMA2)
+
+
+def fit_pins(out: dict) -> dict:
+    """Section -> case -> [SHA-256 of its bits, its readable 12-digit values]."""
+    runs = {",".join(map(str, key)): [digest(run), str(run[1]), _fmt(_risk(run[2], out["signals"][key[3]]))]
+            for key, run in out["runs"].items()}
+    sweeps = {name: [digest(rows), *(",".join(_fmt(row[c]) for c in (*CSV_COLUMNS, "mean_oracle_risk"))
+                                     for row in rows)]
+              for name, rows in out["sweeps"].items()}
+    return {"runs": runs, "sweeps": sweeps}
+
+
+def _close(a: str, b: str) -> bool:
+    """Equal fields, or numbers within 1e-11 relative: 12 printed digits."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return a == b
+    return x == y or (math.isnan(x) and math.isnan(y)) or math.isclose(x, y, rel_tol=1e-11)
+
+
+def _load(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return _load(GOLDEN)
+
+
+@pytest.fixture(scope="module")
+def fits_golden():
+    return _load(FITS)
+
+
+@pytest.fixture(scope="module")
+def fit_outputs():
+    return fits()
 
 
 @pytest.mark.parametrize("function", PINNED)
@@ -112,7 +344,7 @@ def test_profile_values(golden, function):
     got = [v for args, _ in rows for v in PINNED[function](*args)]
     want = [v for _, values in rows for v in values]
     assert len(got) == len(want) > 0
-    if same_environment(golden):
+    if golden["environment"] == environment():
         assert got == want
     else:  # floats to 12 significant digits, branch names exactly
         for a, b in zip(got, want):
@@ -121,24 +353,131 @@ def test_profile_values(golden, function):
 
 @pytest.mark.parametrize("kind", CSV_KINDS)
 def test_profile_csv(golden, kind, tmp_path):
-    if not same_environment(golden):
+    if golden["environment"] != environment():
         pytest.skip(f"pinned in {golden['environment']}, running in {environment()}")
-    assert csv_digest(kind, tmp_path) == golden["profile_csv_sha256"][kind]
+    assert cli_digest(profile_argv(kind, tmp_path)) == golden["profile_csv_sha256"][kind]
+
+
+@pytest.mark.parametrize("section", ["runs", "sweeps", "cli"])
+def test_fits(fits_golden, fit_outputs, section, tmp_path):
+    same = fits_golden["environment"] == fits_environment()
+    if section == "cli":
+        if not same:
+            pytest.skip(f"pinned in {fits_golden['environment']}, running in {fits_environment()}")
+        got = {name: [cli_digest(argv)] for name, argv in cli_runs(tmp_path).items()}
+    else:
+        got = fit_pins(fit_outputs)[section]
+    want = {case: values for case, *values in fits_golden[section]}
+    assert got.keys() == want.keys()
+    if same:
+        moved = [case for case in want if got[case] != want[case]]
+    else:  # readable values only, to 12 digits; a selected index exactly
+        moved = [case for case in want
+                 if not all(map(_close, ",".join(got[case][1:]).split(","), ",".join(want[case][1:]).split(",")))]
+    assert not moved, f"{section} that moved: {moved}"
+
+
+def test_diff_names_a_flipped_bit(fit_outputs, tmp_path, capsys):
+    a, b = tmp_path / "a.pkl", tmp_path / "b.pkl"
+    a.write_bytes(pickle.dumps(fit_outputs))
+    flipped = pickle.loads(a.read_bytes())
+    coefficients = flipped["runs"][("ridge", "one_step", 3, "p48")][0][0][2]
+    coefficients.view(np.uint64)[0] ^= 1
+    b.write_bytes(pickle.dumps(flipped))
+    main(["diff", str(a), str(a)])
+    assert "ridge,16,16,0.000e+00," in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", str(a), str(b)])
+    assert exc.value.code == 1
+    table = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:3] for line in table[1:6]] == [
+        [kind, "16", "15" if kind == "ridge" else "16"] for kind in BASES]
+    assert table[2].split(",")[3] != "0.000e+00"  # the largest coefficient change
+    assert all(line.endswith(",3,3") for line in table[7:])
+
+
+def dump(path):
+    out = fits()
+    Path(path).write_bytes(pickle.dumps(out))
+    print(f"wrote {len(out['runs'])} runs and {len(out['sweeps'])} sweeps to {path}")
+
+
+def diff(path_a, path_b) -> bool:
+    """Print the comparison; True when every run and sweep row is identical."""
+    a, b = (pickle.loads(Path(path).read_bytes()) for path in (path_a, path_b))
+    if a["runs"].keys() != b["runs"].keys():
+        raise SystemExit("the dumps hold different runs")
+    print("base,runs,identical,max_coef_change,max_candidate_risk_change,"
+          "max_selected_risk_change,selections_changed")
+    identical = True
+    for kind in BASES:
+        keys = [k for k in a["runs"] if k[0] == kind]
+        same = changed = 0
+        coef = risk = sel_risk = 0.0
+        for key in keys:
+            run_a, run_b = a["runs"][key], b["runs"][key]
+            beta0 = a["signals"][key[3]]
+            same += _bits(run_a) == _bits(run_b)
+            for (_, _, ca, _), (_, _, cb, _) in zip(run_a[0], run_b[0]):
+                if ca is not None and cb is not None:
+                    coef = max(coef, float(np.max(np.abs(ca - cb))))
+                    risk = max(risk, abs(_risk(ca, beta0) - _risk(cb, beta0)))
+            sel_risk = max(sel_risk, abs(_risk(run_a[2], beta0) - _risk(run_b[2], beta0)))
+            changed += run_a[1] != run_b[1]
+        print(f"{kind},{len(keys)},{same},{coef:.3e},{risk:.3e},{sel_risk:.3e},{changed}")
+        identical &= same == len(keys)
+    if a["sweeps"].keys() != b["sweeps"].keys():
+        raise SystemExit("the dumps hold different sweeps")
+    print("sweep,rows,identical")
+    for name, rows_a in a["sweeps"].items():
+        rows_b = b["sweeps"][name]
+        same = sum(_bits(ra) == _bits(rb) for ra, rb in zip(rows_a, rows_b))
+        rows = max(len(rows_a), len(rows_b))
+        print(f"{name},{rows},{same}")
+        identical &= same == rows
+    return identical
+
+
+def _write_json(path: Path, sections: dict):
+    # one line per list element, so a diff of the file names the case
+    parts = [f' "{name}": ' + ("[\n" + ",\n".join(f"  {json.dumps(row)}" for row in value) + "\n ]"
+                               if isinstance(value, list) else json.dumps(value))
+             for name, value in sections.items()]
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
+    print(f"wrote {path} with riskmono from {Path(cli.__file__).parent}")
 
 
 def write():
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {kind: csv_digest(kind, Path(tmp)) for kind in CSV_KINDS}
+        digests = {kind: cli_digest(profile_argv(kind, Path(tmp))) for kind in CSV_KINDS}
+        pins = {**fit_pins(fits()),
+                "cli": {name: [cli_digest(argv)] for name, argv in cli_runs(Path(tmp)).items()}}
     rows = {name: [[args, PINNED[name](*args)] for args in inputs]
             for name, inputs in default_inputs().items()}
-    parts = [f' "environment": {json.dumps(environment())}',
-             *(f' "{name}": [\n' + ",\n".join(f"  {json.dumps(row)}" for row in rows[name]) + "\n ]"
-               for name in rows),
-             f' "profile_csv_sha256": {json.dumps(digests)}']
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
-    print(f"wrote {GOLDEN} with riskmono from {Path(cli.__file__).parent}")
+    _write_json(GOLDEN, {"environment": environment(), **rows, "profile_csv_sha256": digests})
+    _write_json(FITS, {"environment": fits_environment(),
+                       **{section: [[case, *values] for case, values in cases.items()]
+                          for section, cases in pins.items()}})
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="command", required=True)
+    sub.add_parser("write", help="rewrite golden/profiles.json and golden/fits.json")
+    sub.add_parser("dump", help="run every fit and sweep case and pickle them").add_argument("out")
+    c = sub.add_parser("diff", help="compare two dumps")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = ap.parse_args(argv)
+    if args.command == "write":
+        write()
+    elif args.command == "dump":
+        dump(args.out)
+    elif not diff(args.a, args.b):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
-    sys.exit(write())
+    main()
