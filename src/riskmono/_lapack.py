@@ -124,20 +124,26 @@ def cho_solve(U: np.ndarray, B: np.ndarray, k: int | None = None) -> np.ndarray:
     return X
 
 
-def _openblas_thread_setters() -> list:
-    """`openblas_set_num_threads_local` of every OpenBLAS this process has
-    mapped (numpy and scipy each bundle one); empty where /proc/self/maps is
-    missing or an OpenBLAS predates the symbol.  Binds LAPACK first, so that
-    scipy's OpenBLAS is mapped even before the first fit."""
+def _openblas_libraries() -> list:
+    """Every OpenBLAS this process has mapped (numpy and scipy each bundle
+    one), as a `ctypes.CDLL`; empty where /proc/self/maps is missing.  Binds
+    LAPACK first, so that scipy's OpenBLAS is mapped even before the first
+    fit."""
     _bind()
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     except OSError:
         return []
+    return [ctypes.CDLL(path) for path in sorted(p for p in paths if p.startswith("/") and ".so" in p)]
+
+
+def _openblas_thread_setters() -> list:
+    """`openblas_set_num_threads_local` of every mapped OpenBLAS; an OpenBLAS
+    that predates the symbol has none."""
     setters = []
-    for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
-        setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+    for lib in _openblas_libraries():
+        setter = getattr(lib, "openblas_set_num_threads_local", None)
         if setter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
             setters.append(setter)

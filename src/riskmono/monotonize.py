@@ -117,21 +117,16 @@ def onestep_ingredient(
     idx2: np.ndarray,
     n1: int | None = None,
     n2: int | None = None,
-) -> LinearPredictor:
+) -> RowFit:
     """Base fit on rows idx1[:n1] plus an MN2LS fit to its residuals on rows
-    idx2[:n2] (all of either when None).  No rows in idx2[:n2] means no
-    adjustment and returns the base fit.  Both fits are `BaseProcedure.row_fit`s
-    on `train`; see `_onestep`."""
-    return _onestep(base, train, idx1, idx2, n1, n2).predictor(train)
-
-
-def _onestep(base, train, idx1, idx2, n1, n2) -> RowFit:
-    """`onestep_ingredient` in row-space form.  With an mn2ls pilot on
-    fewer rows than columns, the pilot is weights w1 over the training rows,
-    its residual is y2 - row_gram()[idx2] w1, and the adjustment's weights
-    w2 add to w1; no p-wide product is formed.  A pilot with a primal part
-    (any other base, or mn2ls on rows that reject the shared factor or
-    number at least p) leaves the residual y2 - X2 beta1."""
+    idx2[:n2] (all of either when None), both `BaseProcedure.row_fit`s on
+    `train`.  No rows in idx2[:n2] means no adjustment and returns the base
+    fit.  With an mn2ls pilot on fewer rows than columns, the pilot is
+    weights w1 over the training rows, its residual is y2 - row_gram()[idx2]
+    w1, and the adjustment's weights w2 add to w1; no p-wide product is
+    formed.  A pilot with a primal part (any other base, or mn2ls on rows
+    that reject the shared factor or number at least p) leaves the residual
+    y2 - X2 beta1.  `.predictor(train)` forms the coefficients."""
     pilot = base.row_fit(train, idx1, k=n1)
     rows2 = np.asarray(idx2, dtype=np.intp)[:n2]
     if rows2.size == 0:
@@ -142,9 +137,9 @@ def _onestep(base, train, idx1, idx2, n1, n2) -> RowFit:
 
 def bagged_ingredient(
     base: BaseProcedure, train: Dataset, n1: int, M: int, seed: int, n2: int = 0
-) -> LinearPredictor:
-    """Coefficient average over bag draws j < M of the one-step ingredient
-    with pilot rows order[:n1] and adjustment rows order[::-1][:n2], where
+) -> RowFit:
+    """Average over bag draws j < M of the one-step ingredient with pilot
+    rows order[:n1] and adjustment rows order[::-1][:n2], where
     order = row_order(train.n, seed, j).  With n2 = 0 it is the zero-step
     ingredient: the base fit on a uniform n1-subset, bagged.
 
@@ -153,20 +148,15 @@ def bagged_ingredient(
     all sizes are nested, so every mn2ls fit on fewer rows than columns
     solves on one of two Cholesky factors per draw, kept on `train`: that of
     `order` and that of its reverse.  The draws average in row-space form
-    (weights over the training rows plus a primal part, `_bagged`), and the
-    coefficients are formed once, as X' w + primal.
+    (weights over the training rows plus a primal part), before any
+    coefficients are formed; `.predictor(train)` forms them, as X' w + primal.
     """
-    return _bagged(base, train, n1, M, seed, n2).predictor(train)
-
-
-def _bagged(base, train, n1, M, seed, n2) -> RowFit:
-    """`bagged_ingredient` as a `RowFit`, before its coefficients are formed."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     fits = []
     for j in range(M):
         order = train.memo(("row_order", seed, j), lambda: row_order(train.n, seed, j))
-        fits.append(_onestep(base, train, order, order[::-1], n1, n2))
+        fits.append(onestep_ingredient(base, train, order, order[::-1], n1, n2))
     # valid for linear predictors: averaging coefficients == averaging predictions
     return RowFit.mean(fits)
 
@@ -182,7 +172,7 @@ def _candidate(base, cfg, n1, n2=0):
     of independent draws: its pilot rows are a uniform n1-subset and its
     adjustment rows a uniform n2-subset of their complement; only the joint
     law across candidates is nested."""
-    return lambda train: _bagged(base, train, n1, cfg.M, cfg.seed, n2)
+    return lambda train: bagged_ingredient(base, train, n1, cfg.M, cfg.seed, n2)
 
 
 def _select(data: Dataset, cfg: MonotonizeConfig, candidates):

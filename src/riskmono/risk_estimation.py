@@ -103,18 +103,11 @@ def mc_true_risk(
     return RiskEstimate(value, n_mc, AVG)
 
 
-def closed_form_risk(
-    pred: LinearPredictor,
-    beta0: np.ndarray,
-    sigma2: float,
-    covariance: np.ndarray | None = None,
-) -> float:
-    """Exact conditional squared-error risk (beta - beta0)' Sigma (beta - beta0)
-    + sigma^2 for linear models with known covariance (default isotropic)."""
+def closed_form_risk(pred: LinearPredictor, beta0: np.ndarray, sigma2: float) -> float:
+    """Exact conditional squared-error risk |beta - beta0|^2 + sigma^2 of a
+    linear model with isotropic features."""
     d = pred.coefficients - np.asarray(beta0, dtype=np.float64)
-    if covariance is None:
-        return float(d @ d + sigma2)
-    return float(d @ (covariance @ d) + sigma2)
+    return float(d @ d + sigma2)
 
 
 def delta_diagnostics(risk_hats, true_risks) -> tuple[float, float]:

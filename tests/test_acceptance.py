@@ -257,7 +257,8 @@ def test_ac07_one_step_ingredient_equivalence():
         base = BaseProcedure.mn2ls() if i % 4 else BaseProcedure.ridge(0.3)
         d1, _ = random_dataset(rng, n1, p)
         d2, _ = random_dataset(rng, n2, p)
-        direct = onestep_ingredient(base, *stack_datasets(d1, d2)).coefficients
+        train, idx1, idx2 = stack_datasets(d1, d2)
+        direct = onestep_ingredient(base, train, idx1, idx2).predictor(train).coefficients
         closed = onestep_ingredient_closed_form(base, d1, d2).coefficients
         worst = max(worst, float(np.max(np.abs(direct - closed))))
     elapsed = time.perf_counter() - t0

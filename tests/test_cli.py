@@ -195,14 +195,14 @@ class TestMonotonizeCommand:
         rng = np.random.default_rng(2)
         path = tmp_path / "d.csv"
         Dataset(rng.standard_normal((60, 80)), rng.standard_normal(60)).to_csv(path)
-        onestep = monotonize._onestep
+        onestep = monotonize.onestep_ingredient
 
         def failing(base, train, idx1, idx2, n1, n2):
             if n2 == 8:
                 raise ValueError("rows 1, 2 repeat")
             return onestep(base, train, idx1, idx2, n1, n2)
 
-        monkeypatch.setattr(monotonize, "_onestep", failing)
+        monkeypatch.setattr(monotonize, "onestep_ingredient", failing)
         rc = main(["monotonize", "--data", str(path), "--proc", "one", "--base", "mn2",
                    "--nte", "10", "--block", "8", "--seed", "3"])
         assert rc == 0

@@ -1,46 +1,30 @@
 """Bit-for-bit pins of the profile engine, the fits, the sweeps and the CLI.
 
-`golden/profiles.json` holds the float hex of `mn1ls_profile`,
-`mn2ls_profile` and `optimize_onestep_iso` on fixed inputs and the SHA-256 of
-three `riskmono profile` CSVs.  `golden/fits.json` holds, per case, the
-SHA-256 of the float bits of
-- each `zero_step` and `one_step` run of `BASES` at M in {1, 3} on
-  `datasets()` (every candidate's index, estimate, coefficients and error,
-  the selected index and the selected coefficients), with its selected index
-  and selected true risk to 12 digits;
-- each `run_sweep` case of `SWEEPS` (every row, `fail_reasons` and the oracle
-  columns included), with each row's CSV fields and `mean_oracle_risk`;
-- each `riskmono simulate`, `monotonize` and `selftest` output of
-  `cli_runs`.
+`golden/profiles.json` pins the `PINNED` profile functions (float hex) and
+three `riskmono profile` CSVs (SHA-256).  `golden/fits.json` pins each zero-
+and one-step run of `BASES` on `datasets()` and each `run_sweep` case of
+`SWEEPS` (SHA-256 of their float bits, plus 12-digit values: a run's
+selected index and true risk, a sweep row's CSV fields and
+`mean_oracle_risk`), and each CLI output of `cli_runs` (SHA-256).  In the
+environment a file records, all must match bit for bit; elsewhere the values
+must agree to 12 significant digits, and digests are not compared.
 
-Each file records the environment that made it.  In that environment every
-value must match bit for bit and every output byte for byte.  Elsewhere
-(another Python, platform, numpy or numpy exp kernel, and for the fits
-another scipy or OpenBLAS core too, all of which can move the last bit) the
-values must agree to 12 significant digits, and the digests are not compared.
+    PYTHONPATH=src python tests/test_golden.py write | dump OUT | diff A B
 
-    PYTHONPATH=src python tests/test_golden.py write
-    PYTHONPATH=src python tests/test_golden.py dump OUT
-    PYTHONPATH=src python tests/test_golden.py diff A B
-
-`write` rewrites both files, only for a change that is meant to move the
-numbers.  `dump` pickles the fit runs and sweeps; `diff` reports, per base
-kind, how many runs of two dumps (say, of two checkouts) are bit-identical
-and the largest change in candidate coefficients, in candidate true risk and
-in the selected true risk, and the number of changed selections; then, per
-sweep case, how many rows are bit-identical.  It exits 1 when any run or
-sweep row differs.
+`write` rewrites both files (only for a change meant to move the numbers),
+`dump` pickles the fit runs and sweeps, and `diff` compares two dumps.
 """
 
-import argparse
 import contextlib
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import math
 import pickle
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,29 +32,15 @@ import numpy as np
 import pytest
 import scipy
 
-from riskmono import (
-    BaseProcedure,
-    Dataset,
-    DataModel,
-    Mn1lsPrior,
-    ModelEnergy,
-    MonotonizeConfig,
-    SweepConfig,
-    cli,
-    generate,
-    mn1ls_profile,
-    mn2ls_profile,
-    one_step,
-    optimize_onestep_iso,
-    run_sweep,
-    sweep,
-    zero_step,
-)
+from riskmono import (BaseProcedure, Dataset, DataModel, Mn1lsPrior, ModelEnergy, MonotonizeConfig,
+                      SweepConfig, _lapack, cli, generate, mn1ls_profile, mn2ls_profile, one_step,
+                      optimize_onestep_iso, run_sweep, sweep, zero_step)
 from riskmono.profiles import SpectralInputs
 from riskmono.sweep import CSV_COLUMNS, _fmt
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "profiles.json"
 FITS = GOLDEN.with_name("fits.json")
+_x = float.fromhex
 
 MN1LS_PRIORS = ((0.01, 20.0, 1.0), (0.1, 3.0, 1.0), (0.5, 1.0, 0.25))  # (epsilon, magnitude, sigma2)
 SPECTRA = {  # (H, G)
@@ -78,16 +48,10 @@ SPECTRA = {  # (H, G)
     "two_atom": (SpectralInputs(((0.5, 0.5), (2.0, 0.5))), SpectralInputs(((0.5, 0.25), (2.0, 0.75)))),
 }
 CSV_KINDS = ("mn2ls", "onestep", "mn1ls")
-CSV_GRID = "0.1:10:20log"
 
 N, RHO2, SIGMA2 = 60, 4.0, 1.0
-BASES = {
-    "mn2ls": BaseProcedure.mn2ls(),
-    "ridge": BaseProcedure.ridge(0.3),
-    "lasso": BaseProcedure.lasso(0.5),
-    "null": BaseProcedure.null(),
-    "mn1ls": BaseProcedure.mn1ls(),
-}
+BASES = {"mn2ls": BaseProcedure.mn2ls(), "ridge": BaseProcedure.ridge(0.3), "lasso": BaseProcedure.lasso(0.5),
+         "null": BaseProcedure.null(), "mn1ls": BaseProcedure.mn1ls()}
 
 # run_sweep cases: dense model at n = 60; "default_block" leaves block and nu
 # to the library; "injected_failures" makes every cell whose data seed is 0
@@ -107,9 +71,7 @@ SWEEPS = {
     "config_error": dict(procedure="zero", mono=MonotonizeConfig(block=40, n_te=12)),
 }
 
-# `riskmono simulate` configs, each after _SIMULATE_COMMON
-_SIMULATE_COMMON = "n = 60\ngammas = 0.25:2:3log\nreps = 2\nseed = 5\n"
-SIMULATE = {
+SIMULATE = {  # `riskmono simulate` configs, each after the lines `cli_runs` writes first
     "base": "rho2 = 4\nn_mc = 40",
     "zero": "rho2 = 4\nproc = zero\nm = 2\nblock = 8\nn_te = 12\nn_mc = 40",
     "one": "rho2 = 4\nproc = one\nblock = 8\nn_te = 12\nn_mc = 40",
@@ -123,57 +85,27 @@ def log_grid(lo, hi, count):
     return np.exp(np.linspace(math.log(lo), math.log(hi), count)).tolist()
 
 
-def environment() -> dict:
+def environment(blas: bool = False) -> dict:
+    """What can move a profile's last bit; with `blas`, a fit's too: the scipy version
+    and the kernel set numpy's and scipy's OpenBLAS each picked at run time."""
     try:
         from numpy.lib.introspect import opt_func_info
         exp = opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
     except (ImportError, KeyError):
         exp = "unknown"
-    return {"python": platform.python_version(),
-            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver())),
-            "numpy": np.__version__, "numpy_exp_float64": exp}
-
-
-def _openblas_libraries() -> list:
-    from riskmono import _lapack
-    _lapack._bind()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(p for p in paths if p.startswith("/") and ".so" in p)]
-
-
-def fits_environment() -> dict:
-    """`environment()` plus the scipy version and the kernel set that numpy's
-    and scipy's OpenBLAS each picked at run time (both are DYNAMIC_ARCH
-    builds), which the fits' BLAS calls depend on."""
-    env = {**environment(), "scipy": scipy.__version__}
-    for lib in _openblas_libraries():
-        for key, symbol in (("numpy_openblas_core", "scipy_openblas_get_corename64_"),
-                            ("scipy_openblas_core", "scipy_openblas_get_corename")):
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                env[key] = corename().decode()
+    env = {"python": platform.python_version(),
+           "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver())),
+           "numpy": np.__version__, "numpy_exp_float64": exp}
+    if blas:
+        env["scipy"] = scipy.__version__
+        for lib in _lapack._openblas_libraries():
+            for key, symbol in (("numpy_openblas_core", "scipy_openblas_get_corename64_"),
+                                ("scipy_openblas_core", "scipy_openblas_get_corename")):
+                corename = getattr(lib, symbol, None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    env[key] = corename().decode()
     return env
-
-
-def _x(h: str) -> float:
-    return float.fromhex(h)
-
-
-def _is_float(s: str) -> bool:
-    return s.lstrip("-").startswith(("0x", "inf", "nan"))
-
-
-def _mn1ls(eps, mag, sigma2, phi):
-    return [mn1ls_profile(_x(phi), Mn1lsPrior(_x(eps), _x(mag)), _x(sigma2)).hex()]
-
-
-def _mn2ls(spectra, phi):
-    return [mn2ls_profile(_x(phi), ModelEnergy(4.0, 1.0), *SPECTRA[spectra]).hex()]
 
 
 def _onestep(gamma, snr):
@@ -181,65 +113,49 @@ def _onestep(gamma, snr):
     return [opt.risk.hex(), opt.zeta1.hex(), opt.zeta2.hex(), opt.branch]
 
 
-# function name -> its pinned outputs (float hex, or a branch name) at stored inputs
-PINNED = {"mn1ls_profile": _mn1ls, "mn2ls_profile": _mn2ls, "optimize_onestep_iso": _onestep}
-
-
-def default_inputs() -> dict:
-    phis = [0.5, 1.0, math.inf, *log_grid(1.01, 1e4, 57)]
-    return {
-        "mn1ls_profile": [[*(v.hex() for v in prior), phi.hex()]
-                          for prior in MN1LS_PRIORS for phi in phis],
-        "mn2ls_profile": [[name, phi.hex()] for name in SPECTRA
-                          for phi in [0.5, 1.0, math.inf, *log_grid(1.001, 1e5, 17)]],
-        "optimize_onestep_iso": [[g.hex(), snr.hex()] for g in log_grid(0.1, 20.0, 8)
-                                 for snr in (0.5, 1.5, 4.0, 11.0, 50.0)],
-    }
+PINNED = {  # function name -> its pinned outputs (float hex, or a branch name) at stored inputs
+    "mn1ls_profile": lambda eps, mag, sigma2, phi: [
+        mn1ls_profile(_x(phi), Mn1lsPrior(_x(eps), _x(mag)), _x(sigma2)).hex()],
+    "mn2ls_profile": lambda spectra, phi: [
+        mn2ls_profile(_x(phi), ModelEnergy(4.0, 1.0), *SPECTRA[spectra]).hex()],
+    "optimize_onestep_iso": _onestep,
+}
 
 
 def cli_digest(argv: list) -> str:
     """SHA-256 of what `riskmono argv` writes: the file after --out, else stdout."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         assert cli.main(argv) == 0
     out = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else stdout.getvalue().encode()
     return hashlib.sha256(out).hexdigest()
 
 
 def profile_argv(kind: str, tmp: Path) -> list:
-    return ["profile", "--kind", kind, "--gamma", CSV_GRID, "--out", str(tmp / f"{kind}.csv")]
+    return ["profile", "--kind", kind, "--gamma", "0.1:10:20log", "--out", str(tmp / f"{kind}.csv")]
 
 
 def cli_runs(tmp: Path) -> dict:
-    """Case name -> `riskmono` argv of each pinned CLI output; writes the inputs to tmp."""
+    """Case name -> `riskmono` argv of each pinned CLI output; writes their inputs to tmp."""
     runs = {}
     for name, config in SIMULATE.items():
-        (tmp / f"{name}.cfg").write_text(_SIMULATE_COMMON + config + "\n", encoding="utf-8")
+        (tmp / f"{name}.cfg").write_text(f"n = 60\ngammas = 0.25:2:3log\nreps = 2\nseed = 5\n{config}\n")
         runs[f"simulate_{name}"] = ["simulate", "--config", str(tmp / f"{name}.cfg"),
                                     "--out", str(tmp / f"{name}.csv")]
-    data = tmp / "data.csv"
-    generate(DataModel.dense(80, RHO2, SIGMA2), N, 21)[0].to_csv(data)
-    for proc in ("zero", "one"):
-        for base in (["mn2"], ["lasso", "--lam", "0.5"]):
-            runs[f"monotonize_{proc}_{base[0]}"] = ["monotonize", "--data", str(data), "--proc", proc,
-                                                    "--base", *base]
-    runs["selftest"] = ["selftest"]
-    return runs
+    generate(DataModel.dense(80, RHO2, SIGMA2), N, 21)[0].to_csv(tmp / "data.csv")
+    for proc, base in itertools.product(("zero", "one"), (["mn2"], ["lasso", "--lam", "0.5"])):
+        runs[f"monotonize_{proc}_{base[0]}"] = ["monotonize", "--data", str(tmp / "data.csv"),
+                                                "--proc", proc, "--base", *base]
+    return {**runs, "selftest": ["selftest"]}
 
 
-_generate = sweep.generate
-
-
-def _failing_generate(model, n, seed):
+def _failing_generate(model, n, seed, generate=sweep.generate):
     if seed % 3 == 0:
         raise ArithmeticError(f"injected failure at seed {seed}")
-    return _generate(model, n, seed)
+    return generate(model, n, seed)
 
 
 def datasets():
-    out = {}
-    for p in (20, 48, 150):
-        out[f"p{p}"] = generate(DataModel.dense(p, RHO2, SIGMA2), N, 100 + p)
+    out = {f"p{p}": generate(DataModel.dense(p, RHO2, SIGMA2), N, 100 + p) for p in (20, 48, 150)}
     data, beta0 = generate(DataModel.dense(150, RHO2, SIGMA2), N, 7)
     X, y = data.features.copy(), data.response.copy()
     X[30:], y[30:] = X[:30], y[:30]
@@ -248,25 +164,16 @@ def datasets():
 
 
 def fits() -> dict:
-    """Every fit run and sweep: what `dump` pickles."""
+    """What `dump` pickles: each run's candidates, selection and coefficients, each sweep's rows."""
     runs = {}
     data_sets = datasets()
-    for dname, (data, _) in data_sets.items():
-        for kind, base in BASES.items():
-            for M in (1, 3):
-                for pname, proc in (("zero_step", zero_step), ("one_step", one_step)):
-                    cfg = MonotonizeConfig(M=M, n_te=10, block=8, seed=11)
-                    table, pred = proc(data, base, cfg)
-                    rows = [
-                        (
-                            row.index,
-                            None if row.estimate is None else row.estimate.value,
-                            None if row.predictor is None else row.predictor.coefficients.copy(),
-                            row.error,
-                        )
-                        for row in table.rows
-                    ]
-                    runs[(kind, pname, M, dname)] = (rows, table.selected, pred.coefficients.copy())
+    for (dname, (data, _)), (kind, base), M, (pname, proc) in itertools.product(
+            data_sets.items(), BASES.items(), (1, 3), (("zero_step", zero_step), ("one_step", one_step))):
+        table, pred = proc(data, base, MonotonizeConfig(M=M, n_te=10, block=8, seed=11))
+        rows = [(row.index, None if row.estimate is None else row.estimate.value,
+                 None if row.predictor is None else row.predictor.coefficients.copy(), row.error)
+                for row in table.rows]
+        runs[(kind, pname, M, dname)] = (rows, table.selected, pred.coefficients.copy())
     sweeps = {}
     for name, knobs in SWEEPS.items():
         with pytest.MonkeyPatch.context() as mp:
@@ -274,8 +181,7 @@ def fits() -> dict:
             if name == "injected_failures":
                 mp.setattr(sweep, "generate", _failing_generate)
             sweeps[name] = run_sweep(SweepConfig(**{**_SWEEP, **knobs})).rows
-    return {"runs": runs, "signals": {name: beta0 for name, (_, beta0) in data_sets.items()},
-            "sweeps": sweeps}
+    return {"runs": runs, "signals": {k: beta0 for k, (_, beta0) in data_sets.items()}, "sweeps": sweeps}
 
 
 def _bits(obj):
@@ -291,193 +197,153 @@ def _bits(obj):
     return int(obj) if isinstance(obj, np.integer) else obj
 
 
-def digest(obj) -> str:
-    return hashlib.sha256(repr(_bits(obj)).encode()).hexdigest()
-
-
 def _risk(beta, beta0):
-    d = beta - beta0
-    return float(d @ d + SIGMA2)
+    return float((beta - beta0) @ (beta - beta0) + SIGMA2)
 
 
-def fit_pins(out: dict) -> dict:
-    """Section -> case -> [SHA-256 of its bits, its readable 12-digit values]."""
-    runs = {",".join(map(str, key)): [digest(run), str(run[1]), _fmt(_risk(run[2], out["signals"][key[3]]))]
-            for key, run in out["runs"].items()}
-    sweeps = {name: [digest(rows), *(",".join(_fmt(row[c]) for c in (*CSV_COLUMNS, "mean_oracle_risk"))
-                                     for row in rows)]
-              for name, rows in out["sweeps"].items()}
-    return {"runs": runs, "sweeps": sweeps}
+def pins(out: dict, tmp: Path) -> dict:
+    """Section -> [case, SHA-256 of its bits, its readable 12-digit values] per case."""
+    def sha(obj):
+        return hashlib.sha256(repr(_bits(obj)).encode()).hexdigest()
+    return {
+        "runs": [[",".join(map(str, key)), sha(run), str(run[1]), _fmt(_risk(run[2], out["signals"][key[3]]))]
+                 for key, run in out["runs"].items()],
+        "sweeps": [[name, sha(rows), *(",".join(_fmt(row[c]) for c in (*CSV_COLUMNS, "mean_oracle_risk"))
+                                       for row in rows)] for name, rows in out["sweeps"].items()],
+        "cli": [[name, cli_digest(argv)] for name, argv in cli_runs(tmp).items()],
+    }
 
 
 def _close(a: str, b: str) -> bool:
     """Equal fields, or numbers within 1e-11 relative: 12 printed digits."""
-    try:
-        x, y = float(a), float(b)
-    except ValueError:
-        return a == b
-    return x == y or (math.isnan(x) and math.isnan(y)) or math.isclose(x, y, rel_tol=1e-11)
-
-
-def _load(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    with contextlib.suppress(ValueError):
+        return a == b or math.isclose(float(a), float(b), rel_tol=1e-11)
+    return False
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return _load(GOLDEN)
+    return {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in (GOLDEN, FITS)}
 
 
 @pytest.fixture(scope="module")
-def fits_golden():
-    return _load(FITS)
-
-
-@pytest.fixture(scope="module")
-def fit_outputs():
-    return fits()
+def outputs(tmp_path_factory):
+    out = fits()
+    return out, pins(out, tmp_path_factory.mktemp("cli"))
 
 
 @pytest.mark.parametrize("function", PINNED)
 def test_profile_values(golden, function):
-    rows = golden[function]
+    rows = golden["profiles"][function]
     got = [v for args, _ in rows for v in PINNED[function](*args)]
     want = [v for _, values in rows for v in values]
     assert len(got) == len(want) > 0
-    if golden["environment"] == environment():
+    if golden["profiles"]["environment"] == environment():
         assert got == want
     else:  # floats to 12 significant digits, branch names exactly
         for a, b in zip(got, want):
-            assert math.isclose(_x(a), _x(b), rel_tol=1e-12) if _is_float(b) else a == b
+            is_float = b.lstrip("-").startswith(("0x", "inf", "nan"))
+            assert math.isclose(_x(a), _x(b), rel_tol=1e-12) if is_float else a == b
 
 
 @pytest.mark.parametrize("kind", CSV_KINDS)
 def test_profile_csv(golden, kind, tmp_path):
-    if golden["environment"] != environment():
-        pytest.skip(f"pinned in {golden['environment']}, running in {environment()}")
-    assert cli_digest(profile_argv(kind, tmp_path)) == golden["profile_csv_sha256"][kind]
+    if golden["profiles"]["environment"] != environment():
+        pytest.skip(f"pinned in {golden['profiles']['environment']}, running in {environment()}")
+    assert cli_digest(profile_argv(kind, tmp_path)) == golden["profiles"]["profile_csv_sha256"][kind]
 
 
 @pytest.mark.parametrize("section", ["runs", "sweeps", "cli"])
-def test_fits(fits_golden, fit_outputs, section, tmp_path):
-    same = fits_golden["environment"] == fits_environment()
-    if section == "cli":
-        if not same:
-            pytest.skip(f"pinned in {fits_golden['environment']}, running in {fits_environment()}")
-        got = {name: [cli_digest(argv)] for name, argv in cli_runs(tmp_path).items()}
-    else:
-        got = fit_pins(fit_outputs)[section]
-    want = {case: values for case, *values in fits_golden[section]}
+def test_fits(golden, outputs, section):
+    got = {case: values for case, *values in outputs[1][section]}
+    want = {case: values for case, *values in golden["fits"][section]}
     assert got.keys() == want.keys()
-    if same:
+    if golden["fits"]["environment"] == environment(blas=True):
         moved = [case for case in want if got[case] != want[case]]
-    else:  # readable values only, to 12 digits; a selected index exactly
-        moved = [case for case in want
-                 if not all(map(_close, ",".join(got[case][1:]).split(","), ",".join(want[case][1:]).split(",")))]
+    elif section == "cli":
+        pytest.skip(f"pinned in {golden['fits']['environment']}, running in {environment(blas=True)}")
+    else:  # the readable values to 12 digits, a selected index exactly
+        fields = {case: [",".join(pin[case][1:]).split(",") for pin in (got, want)] for case in want}
+        moved = [case for case, (a, b) in fields.items() if len(a) != len(b) or not all(map(_close, a, b))]
     assert not moved, f"{section} that moved: {moved}"
 
 
-def test_diff_names_a_flipped_bit(fit_outputs, tmp_path, capsys):
+def test_diff_names_a_flipped_bit(outputs, tmp_path, capsys):
     a, b = tmp_path / "a.pkl", tmp_path / "b.pkl"
-    a.write_bytes(pickle.dumps(fit_outputs))
+    a.write_bytes(pickle.dumps(outputs[0]))
     flipped = pickle.loads(a.read_bytes())
-    coefficients = flipped["runs"][("ridge", "one_step", 3, "p48")][0][0][2]
-    coefficients.view(np.uint64)[0] ^= 1
+    flipped["runs"][("ridge", "one_step", 3, "p48")][0][0][2].view(np.uint64)[0] ^= 1
     b.write_bytes(pickle.dumps(flipped))
     main(["diff", str(a), str(a)])
-    assert "ridge,16,16,0.000e+00," in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit, match="^1$"):
         main(["diff", str(a), str(b)])
-    assert exc.value.code == 1
-    table = capsys.readouterr().out.splitlines()
-    assert [line.split(",")[:3] for line in table[1:6]] == [
-        [kind, "16", "15" if kind == "ridge" else "16"] for kind in BASES]
-    assert table[2].split(",")[3] != "0.000e+00"  # the largest coefficient change
-    assert all(line.endswith(",3,3") for line in table[7:])
-
-
-def dump(path):
-    out = fits()
-    Path(path).write_bytes(pickle.dumps(out))
-    print(f"wrote {len(out['runs'])} runs and {len(out['sweeps'])} sweeps to {path}")
+    same, flip = (out.splitlines() for out in capsys.readouterr().out.split("base,runs,")[1:])
+    assert [line for line in flip if line not in same] == [flip[2]] and flip[2].startswith("ridge,16,15,")
 
 
 def diff(path_a, path_b) -> bool:
-    """Print the comparison; True when every run and sweep row is identical."""
+    """Print, per base kind and per sweep case, how many runs or rows are
+    bit-identical and, for the runs, what moved most.  True when all are."""
     a, b = (pickle.loads(Path(path).read_bytes()) for path in (path_a, path_b))
-    if a["runs"].keys() != b["runs"].keys():
-        raise SystemExit("the dumps hold different runs")
+    if a["runs"].keys() != b["runs"].keys() or a["sweeps"].keys() != b["sweeps"].keys():
+        raise SystemExit("the dumps hold different cases")
     print("base,runs,identical,max_coef_change,max_candidate_risk_change,"
           "max_selected_risk_change,selections_changed")
     identical = True
     for kind in BASES:
-        keys = [k for k in a["runs"] if k[0] == kind]
-        same = changed = 0
-        coef = risk = sel_risk = 0.0
-        for key in keys:
-            run_a, run_b = a["runs"][key], b["runs"][key]
-            beta0 = a["signals"][key[3]]
-            same += _bits(run_a) == _bits(run_b)
-            for (_, _, ca, _), (_, _, cb, _) in zip(run_a[0], run_b[0]):
-                if ca is not None and cb is not None:
-                    coef = max(coef, float(np.max(np.abs(ca - cb))))
-                    risk = max(risk, abs(_risk(ca, beta0) - _risk(cb, beta0)))
-            sel_risk = max(sel_risk, abs(_risk(run_a[2], beta0) - _risk(run_b[2], beta0)))
-            changed += run_a[1] != run_b[1]
-        print(f"{kind},{len(keys)},{same},{coef:.3e},{risk:.3e},{sel_risk:.3e},{changed}")
-        identical &= same == len(keys)
-    if a["sweeps"].keys() != b["sweeps"].keys():
-        raise SystemExit("the dumps hold different sweeps")
+        runs = [(a["runs"][k], b["runs"][k], a["signals"][k[3]]) for k in a["runs"] if k[0] == kind]
+        same = sum(_bits(ra) == _bits(rb) for ra, rb, _ in runs)
+        pairs = [(ca, cb, beta0) for ra, rb, beta0 in runs
+                 for (_, _, ca, _), (_, _, cb, _) in zip(ra[0], rb[0]) if ca is not None and cb is not None]
+        coef = max([float(np.max(np.abs(ca - cb))) for ca, cb, _ in pairs], default=0.0)
+        risk = max([abs(_risk(ca, beta0) - _risk(cb, beta0)) for ca, cb, beta0 in pairs], default=0.0)
+        sel_risk = max(abs(_risk(ra[2], beta0) - _risk(rb[2], beta0)) for ra, rb, beta0 in runs)
+        changed = sum(ra[1] != rb[1] for ra, rb, _ in runs)
+        print(f"{kind},{len(runs)},{same},{coef:.3e},{risk:.3e},{sel_risk:.3e},{changed}")
+        identical &= same == len(runs)
     print("sweep,rows,identical")
     for name, rows_a in a["sweeps"].items():
         rows_b = b["sweeps"][name]
         same = sum(_bits(ra) == _bits(rb) for ra, rb in zip(rows_a, rows_b))
-        rows = max(len(rows_a), len(rows_b))
-        print(f"{name},{rows},{same}")
-        identical &= same == rows
+        print(f"{name},{max(len(rows_a), len(rows_b))},{same}")
+        identical &= same == len(rows_a) == len(rows_b)
     return identical
-
-
-def _write_json(path: Path, sections: dict):
-    # one line per list element, so a diff of the file names the case
-    parts = [f' "{name}": ' + ("[\n" + ",\n".join(f"  {json.dumps(row)}" for row in value) + "\n ]"
-                               if isinstance(value, list) else json.dumps(value))
-             for name, value in sections.items()]
-    path.parent.mkdir(exist_ok=True)
-    path.write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
-    print(f"wrote {path} with riskmono from {Path(cli.__file__).parent}")
 
 
 def write():
     with tempfile.TemporaryDirectory() as tmp:
         digests = {kind: cli_digest(profile_argv(kind, Path(tmp))) for kind in CSV_KINDS}
-        pins = {**fit_pins(fits()),
-                "cli": {name: [cli_digest(argv)] for name, argv in cli_runs(Path(tmp)).items()}}
-    rows = {name: [[args, PINNED[name](*args)] for args in inputs]
-            for name, inputs in default_inputs().items()}
-    _write_json(GOLDEN, {"environment": environment(), **rows, "profile_csv_sha256": digests})
-    _write_json(FITS, {"environment": fits_environment(),
-                       **{section: [[case, *values] for case, values in cases.items()]
-                          for section, cases in pins.items()}})
+        sections = pins(fits(), Path(tmp))
+    phis = [0.5, 1.0, math.inf, *log_grid(1.01, 1e4, 57)]
+    inputs = {
+        "mn1ls_profile": [[*(v.hex() for v in prior), phi.hex()] for prior in MN1LS_PRIORS for phi in phis],
+        "mn2ls_profile": [[name, phi.hex()] for name in SPECTRA
+                          for phi in [0.5, 1.0, math.inf, *log_grid(1.001, 1e5, 17)]],
+        "optimize_onestep_iso": [[g.hex(), snr.hex()] for g in log_grid(0.1, 20.0, 8)
+                                 for snr in (0.5, 1.5, 4.0, 11.0, 50.0)],
+    }
+    rows = {name: [[args, PINNED[name](*args)] for args in cases] for name, cases in inputs.items()}
+    for path, parts in ((GOLDEN, {"environment": environment(), **rows, "profile_csv_sha256": digests}),
+                        (FITS, {"environment": environment(blas=True), **sections})):
+        # a list gets one line per element, so a diff of the file names the case
+        lines = [f' "{name}": ' + ("[\n" + ",\n".join(f"  {json.dumps(row)}" for row in value) + "\n ]"
+                                   if isinstance(value, list) else json.dumps(value))
+                 for name, value in parts.items()]
+        path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+        print(f"wrote {path} with riskmono from {Path(cli.__file__).parent}")
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("write", help="rewrite golden/profiles.json and golden/fits.json")
-    sub.add_parser("dump", help="run every fit and sweep case and pickle them").add_argument("out")
-    c = sub.add_parser("diff", help="compare two dumps")
-    c.add_argument("a")
-    c.add_argument("b")
-    args = ap.parse_args(argv)
-    if args.command == "write":
+def main(argv):
+    command, *paths = argv or [""]
+    if (command, len(paths)) == ("write", 0):
         write()
-    elif args.command == "dump":
-        dump(args.out)
-    elif not diff(args.a, args.b):
+    elif (command, len(paths)) == ("dump", 1):
+        Path(paths[0]).write_bytes(pickle.dumps(fits()))
+    elif (command, len(paths)) != ("diff", 2):
+        raise SystemExit(f"usage: {sys.argv[0]} write | dump OUT | diff A B\n\n{__doc__}")
+    elif not diff(*paths):
         raise SystemExit(1)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -87,14 +87,14 @@ class TestBaggedIngredient:
     def test_single_draw_equals_plain_fit(self, rng):
         data, _ = random_dataset(rng, 20, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 12, M=1, seed=5)
+        bag = bagged_ingredient(base, data, 12, M=1, seed=5).predictor(data)
         sub = data.rows(row_order(data.n, 5, 0)[:12])
         np.testing.assert_array_equal(bag.coefficients, base.fit(sub).coefficients)
 
     def test_full_size_subsample_is_degenerate(self, rng):
         data, _ = random_dataset(rng, 15, 3)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, data.n, M=4, seed=6)
+        bag = bagged_ingredient(base, data, data.n, M=4, seed=6).predictor(data)
         np.testing.assert_allclose(
             bag.coefficients, base.fit(data).coefficients, atol=1e-12
         )
@@ -102,7 +102,7 @@ class TestBaggedIngredient:
     def test_two_draws_average_exactly(self, rng):
         data, _ = random_dataset(rng, 25, 4)
         base = BaseProcedure.mn2ls()
-        bag = bagged_ingredient(base, data, 15, M=2, seed=7)
+        bag = bagged_ingredient(base, data, 15, M=2, seed=7).predictor(data)
         draws = [row_order(data.n, 7, j)[:15] for j in (0, 1)]
         parts = [base.fit(data.rows(idx)).coefficients for idx in draws]
         np.testing.assert_allclose(bag.coefficients, np.mean(parts, axis=0), atol=1e-12)
@@ -112,7 +112,7 @@ class TestOnestepIngredient:
     def test_empty_second_set_returns_base_fit(self, rng):
         data, _ = random_dataset(rng, 10, 3)
         base = BaseProcedure.mn2ls()
-        out = onestep_ingredient(base, data, np.arange(10), np.arange(0))
+        out = onestep_ingredient(base, data, np.arange(10), np.arange(0)).predictor(data)
         np.testing.assert_array_equal(out.coefficients, base.fit(data).coefficients)
 
     def test_zero_residuals_mean_zero_adjustment(self, rng):
@@ -121,7 +121,8 @@ class TestOnestepIngredient:
         X2 = rng.standard_normal((4, 5))
         d1 = Dataset(np.eye(5), beta0)  # mn2ls recovers beta0 exactly
         d2 = Dataset(X2, X2 @ beta0)
-        out = onestep_ingredient(BaseProcedure.mn2ls(), *stack_datasets(d1, d2))
+        train, idx1, idx2 = stack_datasets(d1, d2)
+        out = onestep_ingredient(BaseProcedure.mn2ls(), train, idx1, idx2).predictor(train)
         np.testing.assert_allclose(out.coefficients, beta0, atol=1e-9)
 
     def test_matches_closed_form_representation(self, rng):
@@ -132,7 +133,8 @@ class TestOnestepIngredient:
             p = int(rng.integers(2, 25))
             d1, _ = random_dataset(rng, n1, p)
             d2, _ = random_dataset(rng, n2, p)
-            direct = onestep_ingredient(base, *stack_datasets(d1, d2)).coefficients
+            train, idx1, idx2 = stack_datasets(d1, d2)
+            direct = onestep_ingredient(base, train, idx1, idx2).predictor(train).coefficients
             closed = onestep_ingredient_closed_form(base, d1, d2).coefficients
             assert np.max(np.abs(direct - closed)) < 1e-8
 
