@@ -1,8 +1,11 @@
-# ctypes access to the OpenBLAS copies that scipy and numpy load: the SPD
-# Cholesky factor and solve, called without the GIL so that sweep workers
-# overlap, and a pin of every OpenBLAS to one thread while a pool runs.
-# scipy's LAPACK is bound at the first call that needs it, not at import, so
-# `import riskmono` loads numpy only.
+# ctypes access to the OpenBLAS that numpy bundles: the SPD Cholesky factor
+# and solve, called without the GIL so that sweep workers overlap, and a pin
+# of that OpenBLAS to one thread while a pool runs.  numpy's `_umath_linalg`
+# links it, and a handle to that extension resolves its exported symbols:
+# the ILP64 LAPACK routines under numpy's `scipy_` prefix and `64_` suffix,
+# and the OpenBLAS thread controls under their own names.  The routines are
+# bound at the first call that needs them, so `import riskmono` loads numpy
+# only, and nothing in riskmono loads scipy.
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
+from numpy.linalg import LinAlgError, _umath_linalg
 
 
 class LapackArgumentError(Exception):
@@ -20,15 +23,10 @@ class LapackArgumentError(Exception):
     failed candidate or cell."""
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
+_OPENBLAS = ctypes.CDLL(_umath_linalg.__file__)
+_SYMBOL = "scipy_{}_64_"  # the name numpy's OpenBLAS exports a LAPACK routine under
 
-
-_int = ctypes.POINTER(ctypes.c_int)
+_int = ctypes.POINTER(ctypes.c_int64)
 _array = ctypes.c_void_p
 # dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
 _PROTOTYPES = {
@@ -41,19 +39,24 @@ _bound = False
 
 
 def _bind() -> None:
-    """Load scipy's LAPACK (and with it scipy's OpenBLAS) and bind `_potrf`
-    and `_potrs` as module attributes, once: each is scipy's own routine as a
-    plain C call, which releases the GIL (CFUNCTYPE, not PYFUNCTYPE)."""
+    """Bind `_potrf` and `_potrs` as module attributes, once: each is numpy's
+    OpenBLAS routine as a plain C call, which releases the GIL (CFUNCTYPE,
+    not PYFUNCTYPE).  Raises ImportError when that OpenBLAS lacks one."""
     global _bound
     if _bound:
         return
-    from scipy.linalg import cython_lapack
-
     for attr, (name, *argtypes) in _PROTOTYPES.items():
-        capsule = cython_lapack.__pyx_capi__[name]
-        address = _capsule_pointer(capsule, _capsule_name(capsule))
+        symbol = _SYMBOL.format(name)
+        try:
+            routine = ctypes.CFUNCTYPE(None, *argtypes)((symbol, _OPENBLAS))
+        except AttributeError:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+            raise ImportError(
+                f"riskmono needs {symbol} from numpy's bundled OpenBLAS; this numpy links "
+                f"LAPACK {lapack.get('name')} {lapack.get('version')}"
+            ) from None
         # setdefault: a routine a test substituted before binding stays
-        globals().setdefault(attr, ctypes.CFUNCTYPE(None, *argtypes)(address))
+        globals().setdefault(attr, routine)
     _bound = True
 
 
@@ -75,7 +78,7 @@ class NotPositiveDefinite(LinAlgError):
         self.leading = leading
 
 
-def _check(info: ctypes.c_int, routine: str) -> None:
+def _check(info: ctypes.c_int64, routine: str) -> None:
     if info.value < 0:
         raise LapackArgumentError(f"illegal value in argument {-info.value} of {routine}")
 
@@ -89,9 +92,9 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     U = np.array(A, dtype=np.float64, order="F")
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
-    n, info = U.shape[0], ctypes.c_int()
+    n, info = U.shape[0], ctypes.c_int64()
     _bind()
-    _potrf(b"U", ctypes.c_int(n), U.ctypes.data, ctypes.c_int(max(1, n)), info)
+    _potrf(b"U", ctypes.c_int64(n), U.ctypes.data, ctypes.c_int64(max(1, n)), info)
     _check(info, "dpotrf")
     if info.value > 0:
         m = info.value - 1
@@ -116,63 +119,43 @@ def cho_solve(U: np.ndarray, B: np.ndarray, k: int | None = None) -> np.ndarray:
         raise ValueError(f"k = {k} is outside 0..{n}")
     if X.ndim not in (1, 2) or X.shape[0] != k:
         raise ValueError(f"incompatible shapes {U.shape} (k = {k}) and {X.shape}")
-    nrhs, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int()
+    nrhs, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int64()
     _bind()
-    _potrs(b"U", ctypes.c_int(k), ctypes.c_int(nrhs), U.ctypes.data, ctypes.c_int(max(1, n)),
-           X.ctypes.data, ctypes.c_int(max(1, k)), info)
+    _potrs(b"U", ctypes.c_int64(k), ctypes.c_int64(nrhs), U.ctypes.data, ctypes.c_int64(max(1, n)),
+           X.ctypes.data, ctypes.c_int64(max(1, k)), info)
     _check(info, "dpotrs")
     return X
 
 
-def _openblas_libraries() -> list:
-    """Every OpenBLAS this process has mapped (numpy and scipy each bundle
-    one), as a `ctypes.CDLL`; empty where /proc/self/maps is missing.  Binds
-    LAPACK first, so that scipy's OpenBLAS is mapped even before the first
-    fit."""
-    _bind()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(p for p in paths if p.startswith("/") and ".so" in p)]
-
-
-def _openblas_thread_setters() -> list:
-    """`openblas_set_num_threads_local` of every mapped OpenBLAS; an OpenBLAS
-    that predates the symbol has none."""
-    setters = []
-    for lib in _openblas_libraries():
-        setter = getattr(lib, "openblas_set_num_threads_local", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-            setters.append(setter)
-    return setters
+# None where numpy's OpenBLAS predates the symbol
+_set_threads = getattr(_OPENBLAS, "openblas_set_num_threads_local", None)
+if _set_threads is not None:
+    _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], ctypes.c_int
 
 
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved: list = []
+_pin_saved: int | None = None
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with every OpenBLAS on one thread, then restore the
-    previous counts.  The pthreads OpenBLAS that numpy and scipy ship keeps
-    one thread count per process (`openblas_set_num_threads_local` sets it
-    for all threads and returns the old value), so the pin is process-wide
-    and reference-counted: overlapping blocks restore when the last exits."""
+    """Run the block with numpy's OpenBLAS, which serves both numpy's
+    products and the Cholesky routines above, on one thread, then restore
+    the previous count.  That pthreads OpenBLAS keeps one thread count per
+    process (`openblas_set_num_threads_local` sets it for all threads and
+    returns the old value), so the pin is process-wide and
+    reference-counted: overlapping blocks restore when the last exits."""
     global _pin_depth, _pin_saved
     with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = [(setter, setter(1)) for setter in _openblas_thread_setters()]
+        if _pin_depth == 0 and _set_threads is not None:
+            _pin_saved = _set_threads(1)
         _pin_depth += 1
     try:
         yield
     finally:
         with _pin_lock:
             _pin_depth -= 1
-            if _pin_depth == 0:
-                for setter, previous in _pin_saved:
-                    setter(previous)
-                _pin_saved = []
+            if _pin_depth == 0 and _pin_saved is not None:
+                _set_threads(_pin_saved)
+                _pin_saved = None

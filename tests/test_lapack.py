@@ -168,6 +168,24 @@ class TestFailures:
             zero_step(data, BaseProcedure.mn2ls(), MonotonizeConfig(block=8, n_te=8))
 
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_missing_routine_propagates_through_the_sweep(self, monkeypatch, threads):
+        # a numpy whose OpenBLAS lacks a routine fails at the first fit, naming
+        # it; ImportError is not a candidate or cell failure, so it propagates
+        for attr in _lapack._PROTOTYPES:  # hasattr binds the real routines first
+            monkeypatch.delattr(_lapack, attr)
+        monkeypatch.setattr(_lapack, "_bound", False)
+        monkeypatch.setattr(_lapack, "_SYMBOL", "riskmono_missing_{}_64_")
+        monkeypatch.setenv("RISKMONO_THREADS", threads)
+        message = "riskmono_missing_dpotrf_64_ from numpy's bundled OpenBLAS; this numpy links LAPACK"
+        with pytest.raises(ImportError, match=message):
+            sweep.run_sweep(small_cfg(procedure="zero", reps=2))
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.standard_normal((40, 60)), rng.standard_normal(40))
+        with pytest.raises(ImportError, match=message):
+            zero_step(data, BaseProcedure.mn2ls(), MonotonizeConfig(block=8, n_te=8))
+
+
 class TestGilRelease:
     @pytest.mark.parametrize("routine", ["_potrf", "_potrs"])
     def test_prototypes_are_plain_c_calls(self, routine):
@@ -180,34 +198,33 @@ class TestGilRelease:
 
 class TestBlasPin:
     def test_pin_sets_one_thread_and_restores(self):
-        setters = _lapack._openblas_thread_setters()
-        if not setters:
-            pytest.skip("no OpenBLAS with openblas_set_num_threads_local is mapped")
-        before = [s(2) for s in setters]  # 2 threads, so the pin shows
+        setter = _lapack._set_threads
+        if setter is None:
+            pytest.skip("numpy's OpenBLAS has no openblas_set_num_threads_local")
+        before = setter(2)  # 2 threads, so the pin shows
         try:
             with _lapack.one_blas_thread():
                 with _lapack.one_blas_thread():
                     pass
                 # the inner block ended but the outer one still holds the pin
-                assert [s(1) for s in setters] == [1] * len(setters)
-            assert [s(2) for s in setters] == [2] * len(setters)
+                assert setter(1) == 1
+            assert setter(2) == 2
         finally:
-            for setter, count in zip(setters, before):
-                setter(count)
+            setter(before)
 
     def test_overlapping_pins_from_many_threads(self):
         # the count is per process, so the pin depth is shared state: a lost
         # update would unpin inside a block or leave the pin set after all end
-        setters = _lapack._openblas_thread_setters()
-        if not setters:
-            pytest.skip("no OpenBLAS with openblas_set_num_threads_local is mapped")
-        before = [s(2) for s in setters]
+        setter = _lapack._set_threads
+        if setter is None:
+            pytest.skip("numpy's OpenBLAS has no openblas_set_num_threads_local")
+        before = setter(2)
         broken = []
 
         def pin_often():
             for _ in range(300):
                 with _lapack.one_blas_thread():
-                    if any(s(1) != 1 for s in setters):
+                    if setter(1) != 1:
                         broken.append(1)
 
         interval = sys.getswitchinterval()
@@ -220,11 +237,10 @@ class TestBlasPin:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert not broken and _lapack._pin_depth == 0
-            assert [s(2) for s in setters] == [2] * len(setters)
+            assert setter(2) == 2
         finally:
             sys.setswitchinterval(interval)
-            for setter, count in zip(setters, before):
-                setter(count)
+            setter(before)
 
     @pytest.mark.parametrize("threads, pinned", [("1", 0), ("2", 1)])
     def test_one_worker_leaves_blas_alone(self, monkeypatch, threads, pinned):

@@ -1,5 +1,5 @@
-"""What a fresh process loads: numpy at `import riskmono`, scipy's LAPACK at
-the first fit (or the first BLAS pin), and scipy.optimize never."""
+"""What a fresh process loads: numpy at `import riskmono`, and no scipy module
+at any point, since the Cholesky routines come from numpy's own OpenBLAS."""
 
 import json
 import os
@@ -60,22 +60,41 @@ def test_profile_command_loads_no_scipy(tmp_path, kind):
     assert len((tmp_path / "p.csv").read_text().splitlines()) == 7
 
 
-def test_first_fit_loads_scipy_lapack_but_not_optimize(tmp_path):
+def test_first_fit_and_sweep_load_no_scipy(tmp_path):
     script = (
-        "from riskmono import Dataset\nfrom riskmono.predictors import fit_mn2ls\n"
+        "import os\nfrom riskmono import Dataset, DataModel, SweepConfig, run_sweep\n"
+        "from riskmono.predictors import fit_mn2ls\n"
         "rng = np.random.default_rng(0)\n"
         "fit_mn2ls(Dataset(rng.standard_normal((20, 30)), rng.standard_normal(20)))\n"
-        "print(json.dumps(scipy_modules()))"
+        "after_fit = scipy_modules()\n"
+        "os.environ['RISKMONO_THREADS'] = '2'\n"
+        "rows = run_sweep(SweepConfig(40, (0.5, 2.0), 2, DataModel.dense(1, 4.0, 1.0), 'zero')).rows\n"
+        "print(json.dumps([after_fit, scipy_modules(), sum(r['n_fail'] for r in rows)]))"
     )
-    loaded = fresh(script, tmp_path)
-    assert "scipy.linalg" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    assert fresh(script, tmp_path) == [[], [], 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "sim.cfg", "--out", "sim.csv"],
+    ["monotonize", "--data", "data.csv", "--proc", "one", "--base", "mn2"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_fitting_commands_load_no_scipy(tmp_path, argv):
+    (tmp_path / "sim.cfg").write_text("n = 40\ngammas = 0.5,2\nreps = 2\nproc = zero\nblock = 4\nn_te = 8\n")
+    script = (
+        "import contextlib, io\nfrom riskmono import DataModel, cli, generate\n"
+        "generate(DataModel.dense(60, 4.0, 1.0), 40, 1)[0].to_csv('data.csv')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps([code, scipy_modules()]))"
+    )
+    assert fresh(script, tmp_path) == [0, []]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-def test_pin_before_any_fit_reaches_scipy_openblas(tmp_path):
-    # a pin entered before LAPACK is bound must still cover the OpenBLAS that
-    # the first Cholesky inside it loads
+def test_pin_covers_numpy_openblas(tmp_path):
+    # numpy's OpenBLAS is the only one mapped, before and after the first
+    # Cholesky, and the pin holds it at one thread until the block exits
     script = (
         "from riskmono import Dataset, _lapack\nfrom riskmono.predictors import fit_mn2ls\n"
         "rng = np.random.default_rng(0)\n"
@@ -83,11 +102,12 @@ def test_pin_before_any_fit_reaches_scipy_openblas(tmp_path):
         "    at_entry = blas_threads()\n"
         "    fit_mn2ls(Dataset(rng.standard_normal((20, 30)), rng.standard_normal(20)))\n"
         "    after_fit = blas_threads()\n"
-        "print(json.dumps([at_entry, after_fit, 'scipy.linalg' in sys.modules]))"
+        "print(json.dumps([at_entry, after_fit, blas_threads()]))"
     )
-    at_entry, after_fit, lapack_loaded = fresh(script, tmp_path)
+    at_entry, after_fit, after_exit = fresh(script, tmp_path)
     if not at_entry:
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local is mapped")
-    assert lapack_loaded
+    assert len(at_entry) == 1
     assert after_fit == at_entry
     assert set(at_entry.values()) == {1}
+    assert after_exit.keys() == at_entry.keys() and set(after_exit.values()) == {2}
