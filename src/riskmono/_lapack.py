@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import threading
 from contextlib import contextmanager
 
@@ -29,43 +30,26 @@ _SYMBOL = "scipy_{}_64_"  # the name numpy's OpenBLAS exports a LAPACK routine u
 _int = ctypes.POINTER(ctypes.c_int64)
 _array = ctypes.c_void_p
 # dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
-_PROTOTYPES = {
-    "_potrf": ("dpotrf", ctypes.c_char_p, _int, _array, _int, _int),
-    "_potrs": ("dpotrs", ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int),
+_ARGTYPES = {
+    "dpotrf": (ctypes.c_char_p, _int, _array, _int, _int),
+    "dpotrs": (ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int),
 }
 
 
-_bound = False
-
-
-def _bind() -> None:
-    """Bind `_potrf` and `_potrs` as module attributes, once: each is numpy's
-    OpenBLAS routine as a plain C call, which releases the GIL (CFUNCTYPE,
-    not PYFUNCTYPE).  Raises ImportError when that OpenBLAS lacks one."""
-    global _bound
-    if _bound:
-        return
-    for attr, (name, *argtypes) in _PROTOTYPES.items():
-        symbol = _SYMBOL.format(name)
-        try:
-            routine = ctypes.CFUNCTYPE(None, *argtypes)((symbol, _OPENBLAS))
-        except AttributeError:
-            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-            raise ImportError(
-                f"riskmono needs {symbol} from numpy's bundled OpenBLAS; this numpy links "
-                f"LAPACK {lapack.get('name')} {lapack.get('version')}"
-            ) from None
-        # setdefault: a routine a test substituted before binding stays
-        globals().setdefault(attr, routine)
-    _bound = True
-
-
-def __getattr__(name: str):
-    # `_potrf` and `_potrs` exist from the first call that needs LAPACK on
-    if name in _PROTOTYPES:
-        _bind()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+@functools.cache
+def _routine(name: str):
+    """numpy's OpenBLAS routine `name` as a plain C call, which releases the
+    GIL (CFUNCTYPE, not PYFUNCTYPE).  Raises ImportError when that OpenBLAS
+    lacks it; a failed lookup is not cached."""
+    symbol = _SYMBOL.format(name)
+    try:
+        return ctypes.CFUNCTYPE(None, *_ARGTYPES[name])((symbol, _OPENBLAS))
+    except AttributeError:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        raise ImportError(
+            f"riskmono needs {symbol} from numpy's bundled OpenBLAS; this numpy links "
+            f"LAPACK {lapack.get('name')} {lapack.get('version')}"
+        ) from None
 
 
 class NotPositiveDefinite(LinAlgError):
@@ -93,8 +77,7 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     n, info = U.shape[0], ctypes.c_int64()
-    _bind()
-    _potrf(b"U", ctypes.c_int64(n), U.ctypes.data, ctypes.c_int64(max(1, n)), info)
+    _routine("dpotrf")(b"U", ctypes.c_int64(n), U.ctypes.data, ctypes.c_int64(max(1, n)), info)
     _check(info, "dpotrf")
     if info.value > 0:
         m = info.value - 1
@@ -120,9 +103,8 @@ def cho_solve(U: np.ndarray, B: np.ndarray, k: int | None = None) -> np.ndarray:
     if X.ndim not in (1, 2) or X.shape[0] != k:
         raise ValueError(f"incompatible shapes {U.shape} (k = {k}) and {X.shape}")
     nrhs, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int64()
-    _bind()
-    _potrs(b"U", ctypes.c_int64(k), ctypes.c_int64(nrhs), U.ctypes.data, ctypes.c_int64(max(1, n)),
-           X.ctypes.data, ctypes.c_int64(max(1, k)), info)
+    _routine("dpotrs")(b"U", ctypes.c_int64(k), ctypes.c_int64(nrhs), U.ctypes.data,
+                       ctypes.c_int64(max(1, n)), X.ctypes.data, ctypes.c_int64(max(1, k)), info)
     _check(info, "dpotrs")
     return X
 

@@ -47,9 +47,7 @@ class Dataset:
 
     features: np.ndarray
     response: np.ndarray
-    # row_gram()'s and memo()'s stores; cached_property's lock would
-    # serialize all instances
-    _row_gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    # memo()'s store; cached_property's lock would serialize all instances
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -76,9 +74,7 @@ class Dataset:
 
     def row_gram(self) -> np.ndarray:
         """X X', formed on the first call and kept for the next ones."""
-        if self._row_gram is None:
-            object.__setattr__(self, "_row_gram", _readonly(self.features @ self.features.T))
-        return self._row_gram
+        return self.memo("row_gram", lambda: _readonly(self.features @ self.features.T))
 
     def memo(self, key, make):
         """make(), computed on the first call per hashable key and kept for
@@ -95,22 +91,24 @@ class Dataset:
     def order_factor(self, order) -> np.ndarray:
         """Upper Cholesky factor U of the row gram of rows order[:m] in that
         order, m = min(len(order), p - 1), formed on the first call per order
-        and kept.  For every k <= m the leading k x k block of U factors the
-        gram of order[:k], so fits on leading rows of one order share U.
-        When the factorization fails at pivot i, U is the leading
-        (i - 1) x (i - 1) block that it completed."""
-        order = np.asarray(order, dtype=np.intp)
+        and kept.  Order None stands for all rows in their own order, and U
+        factors row_gram() itself.  For every k <= m the leading k x k block
+        of U factors the gram of order[:k], so fits on leading rows of one
+        order share U.  When the factorization fails at pivot i, U is the
+        leading (i - 1) x (i - 1) block that it completed."""
+        if order is not None:
+            order = np.asarray(order, dtype=np.intp)
 
         def factor():
-            head = order[: self.p - 1]
+            gram, head = self.row_gram(), None if order is None else order[: self.p - 1]
             try:
-                U = _lapack.cho_factor(self.row_gram()[np.ix_(head, head)])
+                U = _lapack.cho_factor(gram if head is None else gram[np.ix_(head, head)])
             except _lapack.NotPositiveDefinite as exc:
                 U = exc.leading
             U.setflags(write=False)
             return U
 
-        return self.memo(("order_factor", order.tobytes()), factor)
+        return self.memo(("order_factor", None if order is None else order.tobytes()), factor)
 
     def rows(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.intp)

@@ -22,18 +22,21 @@ TIE_RTOL, KKT_RTOL = 1e-10, 1e-6
 def fit_mn2ls(data: Dataset) -> LinearPredictor:
     """Minimum l2-norm least squares (X'X/m)^+ (X'Y/m).
 
-    Generic full-rank inputs take a Cholesky gram solve; anything the
-    factorization or its conditioning check flags as (near-)rank-deficient
-    falls back to the SVD route (LAPACK gelsd) with singular values
-    s <= rtol*s_max treated as zero, rtol = 1e-12 * max(n, p).
+    With fewer rows than columns it is the row-space fit on all rows
+    (`_mn2ls_rows`); otherwise a Cholesky solve of the normal equations.
+    Anything the factorization or `_mn2ls_cholesky`'s check flags as
+    (near-)rank-deficient falls back to the SVD route (LAPACK gelsd) with
+    singular values s <= rtol*s_max treated as zero, rtol = 1e-12 * max(n, p).
     """
-    return LinearPredictor(_mn2ls(data.features, data.response))
-
-
-def _mn2ls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cholesky on the smaller side's gram, else the SVD route."""
-    beta = _mn2ls_cholesky(X, y)
-    return _lstsq(X, y) if beta is None else beta
+    if data.n < data.p:
+        return _mn2ls_rows(data, None, data.response).predictor(data)
+    X, y = data.features, data.response
+    try:
+        U = _lapack.cho_factor(X.T @ X)
+    except _lapack.NotPositiveDefinite:
+        U = None
+    beta = _mn2ls_cholesky(U, X.T @ y, data.p)
+    return LinearPredictor(_lstsq(X, y) if beta is None else beta)
 
 
 def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -41,46 +44,39 @@ def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _mn2ls_cholesky(X: np.ndarray | None, y: np.ndarray, factor: np.ndarray | None = None):
-    """Full-rank fast path, and the one place that decides between it and
-    the SVD route.  X holds the fit's k rows.  With k >= p it solves the
-    normal equations.  With k < p it solves in row space for the weights
-    w = (X X')^{-1} y on the leading k x k block of `factor`, an upper
-    Cholesky factor (X X' is factored when `factor` is None), and returns
-    X' w.  With X None the fit is in row space on the leading k = len(y)
-    rows of the order that `factor` factors, and the return is w itself.
+def _mn2ls_rows(data: Dataset, order, y: np.ndarray) -> RowFit:
+    """The mn2ls fit on rows order[:k] of `data` (all rows when order is
+    None) with responses y, k = len(y) < p, in row space: weights
+    (X_k X_k')^{-1} y over those rows, solved on the leading k x k block of
+    `data.order_factor(order)`, so fits on leading rows of one order share
+    one factor.  Where `_mn2ls_cholesky` rejects that block, the fit is the
+    SVD route's on the gathered rows, as the primal part."""
+    idx = slice(None) if order is None else np.asarray(order, dtype=np.intp)[: len(y)]
+    w = _mn2ls_cholesky(data.order_factor(order), y, len(y))
+    if w is None:
+        return RowFit(primal=_lstsq(data.features[idx], y))
+    weights = np.zeros(data.n)
+    weights[idx] = w
+    return RowFit(weights=weights)
 
-    Returns None when the system looks (near-)rank-deficient; a
-    rank-deficient gram solve can satisfy the normal equations without being
-    min-norm, so the guard is on conditioning, not on the residual.  The
-    solves release the GIL, so sweep workers overlap."""
-    k = len(y)
-    try:
-        if X is not None and k >= X.shape[1]:
-            U = _lapack.cho_factor(X.T @ X)
-            if not _well_conditioned(U, X.shape[1]):
-                return None
-            out = _lapack.cho_solve(U, X.T @ y)
-        else:
-            U = _lapack.cho_factor(X @ X.T) if factor is None else factor
-            if not _well_conditioned(U, k):
-                return None
-            out = _lapack.cho_solve(U, y, k)
-            if X is not None:
-                out = X.T @ out
-    except np.linalg.LinAlgError:
+
+def _mn2ls_cholesky(U: np.ndarray | None, b: np.ndarray, k: int):
+    """x with U_k'U_k x = b, U_k the leading k x k block of the upper
+    Cholesky factor U, and the one place that decides between the Cholesky
+    route and the SVD route: None when U is None (the factorization failed),
+    has fewer than k rows (it failed within the block) or looks
+    (near-)rank-deficient, and when x is not finite.  A rank-deficient gram
+    solve can satisfy the normal equations without being min-norm, so the
+    guard is on conditioning, not on the residual: the spread of diag(U_k)
+    approximates sqrt(cond) of U_k'U_k.  The solve releases the GIL, so
+    sweep workers overlap."""
+    if U is None:
         return None
-    if not np.all(np.isfinite(out)):
+    d = np.abs(np.diag(U)[:k])
+    if d.size != k or not d.min() > CHOL_DIAG_RATIO * d.max():
         return None
-    return out
-
-
-def _well_conditioned(chol: np.ndarray, k: int) -> bool:
-    # diag(U) spread over the leading k x k block approximates sqrt(cond) of
-    # that block's gram; a factor with fewer than k rows (one cut at a failed
-    # pivot) fails
-    d = np.abs(np.diag(chol)[:k])
-    return d.size == k and d.min() > CHOL_DIAG_RATIO * d.max()
+    x = _lapack.cho_solve(U, b, k)
+    return x if np.all(np.isfinite(x)) else None
 
 
 def fit_ridge(data: Dataset, lam: float) -> LinearPredictor:
@@ -335,12 +331,10 @@ class BaseProcedure:
         when `rows` is None, all of `rows` when `k` is None), with `response`
         in place of their responses (residual fits).
 
-        mn2ls on k < p rows solves in row space: its weights over those rows
-        come from the leading k x k block of `data.order_factor(rows)`, so
+        mn2ls on k < p rows is `_mn2ls_rows` on the first k of `rows`, so
         fits on leading rows of one `rows` share one Cholesky factor, and no
-        k x p gather or product is formed.  Where `_mn2ls_cholesky` rejects
-        that block, and for mn2ls on k >= p rows and every other kind, the
-        fit runs on the gathered rows and is the primal part.  A fit on rows
+        k x p gather or product is formed.  mn2ls on k >= p rows and every
+        other kind fit on the gathered rows, as the primal part.  A fit on rows
         with their own responses is kept on `data` per (procedure, rows, k):
         under nested draws each one-step pilot is the fit of a
         zero-step-sized candidate."""
@@ -355,12 +349,7 @@ class BaseProcedure:
         if idx is not None or response is not None:
             y = response if response is not None else data.response[idx]
             if self.kind == "mn2ls" and idx is not None and idx.size < data.p:
-                w = _mn2ls_cholesky(None, y, data.order_factor(rows))
-                if w is None:
-                    return RowFit(primal=_lstsq(data.features[idx], y))
-                weights = np.zeros(data.n)
-                weights[idx] = w
-                return RowFit(weights=weights)
+                return _mn2ls_rows(data, rows, y)
             fit_on = Dataset(data.features if idx is None else data.features[idx], y)
         return RowFit(primal=self._fit(fit_on).coefficients)
 

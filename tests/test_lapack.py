@@ -106,14 +106,14 @@ class TestFailures:
         y = rng.standard_normal(8)
         with pytest.raises(scipy.linalg.LinAlgError):
             _lapack.cho_factor(X @ X.T)
-        assert _mn2ls_cholesky(X, y) is None
+        assert _mn2ls_cholesky(Dataset(X, y).order_factor(None), y, 8) is None
         # the shared factor of these rows stops at pivot 4: it keeps the
         # leading 3 x 3 block, which rejects every fit on 4 or more rows and
         # still solves the fit on rows 0-2
         U = Dataset(X, y).order_factor(np.arange(8))
-        assert U.shape == (3, 3) and _mn2ls_cholesky(X, y, U) is None
-        assert _mn2ls_cholesky(None, y[:4], U) is None
-        np.testing.assert_allclose(X[:3].T @ _mn2ls_cholesky(None, y[:3], U),
+        assert U.shape == (3, 3) and _mn2ls_cholesky(U, y, 8) is None
+        assert _mn2ls_cholesky(U, y[:4], 4) is None
+        np.testing.assert_allclose(X[:3].T @ _mn2ls_cholesky(U, y[:3], 3),
                                    np.linalg.pinv(X[:3]) @ y[:3], rtol=1e-10, atol=1e-12)
         beta = fit_mn2ls(Dataset(X, y)).coefficients
         np.testing.assert_allclose(beta, np.linalg.pinv(X) @ y, rtol=1e-10, atol=1e-12)
@@ -158,7 +158,9 @@ class TestFailures:
         def bad_potrf(uplo, n, a, lda, info):
             info.value = -4
 
-        monkeypatch.setattr(_lapack, "_potrf", bad_potrf)
+        routine = _lapack._routine
+        monkeypatch.setattr(_lapack, "_routine",
+                            lambda name: bad_potrf if name == "dpotrf" else routine(name))
         monkeypatch.setenv("RISKMONO_THREADS", threads)
         with pytest.raises(_lapack.LapackArgumentError):
             sweep.run_sweep(small_cfg(procedure="zero", reps=2))
@@ -172,9 +174,7 @@ class TestFailures:
     def test_missing_routine_propagates_through_the_sweep(self, monkeypatch, threads):
         # a numpy whose OpenBLAS lacks a routine fails at the first fit, naming
         # it; ImportError is not a candidate or cell failure, so it propagates
-        for attr in _lapack._PROTOTYPES:  # hasattr binds the real routines first
-            monkeypatch.delattr(_lapack, attr)
-        monkeypatch.setattr(_lapack, "_bound", False)
+        _lapack._routine.cache_clear()  # the real routines bind again after the test
         monkeypatch.setattr(_lapack, "_SYMBOL", "riskmono_missing_{}_64_")
         monkeypatch.setenv("RISKMONO_THREADS", threads)
         message = "riskmono_missing_dpotrf_64_ from numpy's bundled OpenBLAS; this numpy links LAPACK"
@@ -187,11 +187,11 @@ class TestFailures:
 
 
 class TestGilRelease:
-    @pytest.mark.parametrize("routine", ["_potrf", "_potrs"])
-    def test_prototypes_are_plain_c_calls(self, routine):
+    @pytest.mark.parametrize("name", list(_lapack._ARGTYPES))
+    def test_prototypes_are_plain_c_calls(self, name):
         # ctypes drops the GIL around a CFUNCTYPE call and keeps it around a
         # PYFUNCTYPE one; the flag is what tells them apart
-        flags = getattr(_lapack, routine)._flags_
+        flags = _lapack._routine(name)._flags_
         assert flags & ctypes._FUNCFLAG_PYTHONAPI == 0
         assert flags & ctypes._FUNCFLAG_CDECL
 

@@ -352,13 +352,12 @@ class TestSharedFactor:
             owners[id(U)] = (split, np.asarray(order))
             return U
 
-        def recorded(X, y, factor=None):
-            beta = cholesky(X, y, factor)
-            if X is None:  # a fit in row space on the leading rows of factor's order
-                split, order = owners[id(factor)]
-                X = split.features[order[: len(y)]]
-            fits.append((_holds_a_repeat(X), beta is None))
-            return beta
+        def recorded(U, y, k):
+            w = cholesky(U, y, k)
+            # a fit in row space on the leading k rows of U's order
+            split, order = owners[id(U)]
+            fits.append((_holds_a_repeat(split.features[order[:k]]), w is None))
+            return w
 
         monkeypatch.setattr(Dataset, "order_factor", recorded_factor)
         monkeypatch.setattr(predictors, "_mn2ls_cholesky", recorded)

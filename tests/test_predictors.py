@@ -360,7 +360,23 @@ class TestFitRows:
             got = base.fit(train, idx).coefficients
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert calls == [45]
-        assert train._row_gram.shape == (45, 45)
+        assert train._memo["row_gram"].shape == (45, 45)
+
+    def test_full_data_fit_is_the_row_fit_on_all_rows(self, rng, monkeypatch):
+        # n < p: the fit on all rows solves on order_factor(None), kept on the
+        # dataset, and has the bits of the row fit on rows 0..n-1
+        data, _ = random_dataset(rng, 30, 50)
+        factored = []
+        cho_factor = _lapack.cho_factor
+        monkeypatch.setattr(
+            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+        )
+        first = fit_mn2ls(data).coefficients
+        assert factored == [(30, 30)]
+        again = fit_mn2ls(data).coefficients
+        assert factored == [(30, 30)]
+        rows = BaseProcedure.mn2ls().row_fit(data, np.arange(30)).predictor(data).coefficients
+        assert first.tobytes() == again.tobytes() == rows.tobytes()
 
     def test_rejected_row_gram_goes_straight_to_svd(self, rng, monkeypatch):
         train = _repeated_row_train(rng)
@@ -411,4 +427,4 @@ class TestFitRows:
         idx = np.array([0, 2, 3, 7, 11, 19])
         got = base.fit(train, idx).coefficients
         np.testing.assert_array_equal(got, base.fit(train.rows(idx)).coefficients)
-        assert train._row_gram is None
+        assert "row_gram" not in train._memo
