@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from riskmono import (BaseProcedure, Dataset, DataModel, Mn1lsPrior, ModelEnergy, MonotonizeConfig,
-                      SweepConfig, cli, generate, mn1ls_profile, mn2ls_profile, one_step,
+                      SweepConfig, _lapack, cli, generate, mn1ls_profile, mn2ls_profile, one_step,
                       optimize_onestep_iso, run_sweep, sweep, zero_step)
 from riskmono.profiles import SpectralInputs
 from riskmono.sweep import CSV_COLUMNS, _fmt
@@ -84,21 +84,9 @@ def log_grid(lo, hi, count):
     return np.exp(np.linspace(math.log(lo), math.log(hi), count)).tolist()
 
 
-def _openblas_libraries() -> list:
-    """Every OpenBLAS this process has mapped, as a `ctypes.CDLL`; empty where
-    /proc/self/maps is missing."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(p for p in paths if p.startswith("/") and ".so" in p)]
-
-
 def environment(blas: bool = False) -> dict:
-    """What can move a profile's last bit; with `blas`, a fit's too: the scipy version
-    and the kernel set numpy's and scipy's OpenBLAS each picked at run time.  scipy's
-    OpenBLAS is loaded here, so that the key does not depend on what ran before."""
+    """What can move a profile's last bit; with `blas`, a fit's too: the kernel
+    set numpy's OpenBLAS, the one every fit uses, picked at run time."""
     try:
         from numpy.lib.introspect import opt_func_info
         exp = opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
@@ -108,16 +96,8 @@ def environment(blas: bool = False) -> dict:
            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver())),
            "numpy": np.__version__, "numpy_exp_float64": exp}
     if blas:
-        import scipy.linalg
-
-        env["scipy"] = scipy.__version__
-        for lib in _openblas_libraries():
-            for key, symbol in (("numpy_openblas_core", "scipy_openblas_get_corename64_"),
-                                ("scipy_openblas_core", "scipy_openblas_get_corename")):
-                corename = getattr(lib, symbol, None)
-                if corename is not None:
-                    corename.restype = ctypes.c_char_p
-                    env[key] = corename().decode()
+        corename = ctypes.CFUNCTYPE(ctypes.c_char_p)(("scipy_openblas_get_corename64_", _lapack._OPENBLAS))
+        env["numpy_openblas_core"] = corename().decode()
     return env
 
 
