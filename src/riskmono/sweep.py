@@ -134,7 +134,10 @@ def _replication(cfg: SweepConfig, gi: int, p: int, rep: int):
 
 def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
     """(analytic, monotonized_analytic) for each gamma of the grid, for the
-    configured base and model; the monotonized column is one curve."""
+    configured base and model; the monotonized column is one curve, the
+    M = 1 monotonized base profile.  `analytic` is NaN where no target for
+    the procedure exists: bagged (M >= 2) zero- and one-step runs, whose
+    risk lies below the M = 1 profiles, and one-step with the mn1ls base."""
     model, grid = cfg.model, cfg.gamma_grid
     if (cfg.base.kind, model.kind) == ("mn2ls", "dense"):
         kind, prior = ("onestep" if cfg.procedure == "one" else "mn2ls"), None
@@ -144,10 +147,10 @@ def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
         return [(math.nan, math.nan)] * len(grid)
     base_profile, reference = reference_profiles(kind, model.sigma2, model.rho2, prior)
     monotonized = monotonize_curve(grid, base_profile)
-    if cfg.procedure == "zero":
-        analytic = monotonized
-    elif cfg.procedure == "one" and kind == "mn1ls":  # no lassoless one-step profile
+    if cfg.procedure != "base" and cfg.mono.M > 1 or (cfg.procedure, kind) == ("one", "mn1ls"):
         analytic = [math.nan] * len(grid)
+    elif cfg.procedure == "zero":
+        analytic = monotonized
     else:
         analytic = [reference(g) for g in grid]
     return list(zip(analytic, monotonized))

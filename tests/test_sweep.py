@@ -105,6 +105,21 @@ class TestRunSweep:
         assert row["proc"] == "one" and math.isfinite(row["mean_risk"])
         assert math.isfinite(row["analytic"])
 
+    @pytest.mark.parametrize("procedure", ["zero", "one"])
+    def test_bagged_runs_have_no_analytic_target(self, procedure):
+        # bagging lowers the risk below the M = 1 profiles, and no M-aware
+        # target exists: `analytic` is NaN, `monotonized_analytic` stays the
+        # M = 1 monotonized base profile
+        single, bagged = (
+            run_sweep(small_cfg(procedure=procedure, reps=1, gamma_grid=(1.5,),
+                                mono=MonotonizeConfig(M=M, block=8, n_te=12))).rows[0]
+            for M in (1, 2)
+        )
+        assert bagged["M"] == 2 and math.isnan(bagged["analytic"])
+        assert math.isfinite(single["analytic"])
+        assert bagged["monotonized_analytic"] == single["monotonized_analytic"]
+        assert math.isfinite(bagged["mean_risk"])
+
     def test_oracle_risk_bounds_selected_risk(self):
         for proc in ("zero", "one"):
             table = run_sweep(small_cfg(procedure=proc, reps=3))
