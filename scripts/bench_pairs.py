@@ -60,10 +60,11 @@ ENVS = {
 # AC-05's grid: 16 log-spaced gammas in [0.1, 10] without the two near 1
 _FULL = np.exp(np.linspace(math.log(0.1), math.log(10.0), 16))
 AC05_GAMMAS = tuple(float(g) for g in _FULL if not 0.8 < g < 1.25)
-# `sweep` is a small zero-step run; `zero` and `one` run 10 replications at n = 400
+# `sweep` is a small zero-step run; `base`, `zero` and `one` run 10 replications at n = 400
 COMMON = {"model": "dense", "rho2": 4, "base": "mn2", "n": 400, "n_te": 40, "reps": 10, "seed": 7}
 CONFIGS = {
     "sweep": dict(COMMON, proc="zero", n=200, n_te=20, block=20, reps=2, gammas="0.5,2"),
+    "base": dict(COMMON, proc="base", gammas=",".join(map(repr, AC05_GAMMAS))),
     "zero": dict(COMMON, proc="zero", block=20, gammas=",".join(map(repr, AC05_GAMMAS))),
     "one": dict(COMMON, proc="one", block=30, gammas="1.2,1.5,2"),
 }
@@ -105,7 +106,7 @@ CASES = {
                                "pinned", "stdout") for kind in ("mn2ls", "onestep", "mn1ls")},
     "sweep": Case(SIMULATE, "pinned", "sim.csv", CONFIGS["sweep"]),
     **{f"{name}_{env}": Case(SIMULATE, env, "sim.csv", CONFIGS[name])
-       for name in ("zero", "one") for env in ENVS},
+       for name in ("base", "zero", "one") for env in ENVS},
     # pytest exits 1 when a test fails; `failed` counts those
     "tier1": Case(("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
                    "--durations=0"), "default", read=read_tier1, exits=(0, 1)),

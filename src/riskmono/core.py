@@ -100,9 +100,12 @@ class Dataset:
             order = np.asarray(order, dtype=np.intp)
 
         def factor():
-            gram, head = self.row_gram(), None if order is None else order[: self.p - 1]
+            gram = self.row_gram()
+            if order is not None:
+                head = order[: self.p - 1]
+                gram = gram[np.ix_(head, head)]
             try:
-                U = _lapack.cho_factor(gram if head is None else gram[np.ix_(head, head)])
+                U = _lapack.cho_factor(gram)
             except _lapack.NotPositiveDefinite as exc:
                 U = exc.leading
             U.setflags(write=False)

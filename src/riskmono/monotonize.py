@@ -77,7 +77,7 @@ def zero_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int]]:
     (`bagged_ingredient`), so the candidates' row sets are nested.
     """
     n_tr = n - n_te
-    xi_max = math.ceil(n_tr / block - 2)
+    xi_max = _xi_max(n_tr, block)
     if xi_max < 1:
         raise ConfigError(
             f"empty zero-step grid: n_tr={n_tr}, block={block} "
@@ -96,18 +96,20 @@ def one_step_grid(n: int, n_te: int, block: int) -> list[tuple[int, int, int, in
     disjoint.
     """
     n_tr = n - n_te
-    xi_max = math.ceil(n_tr / block - 2)
+    xi_max = _xi_max(n_tr, block)
     if xi_max < 2:
         raise ConfigError(
             f"empty one-step grid: n_tr={n_tr}, block={block} "
             f"gives ceil(n_tr/block - 2) = {xi_max} < 2"
         )
-    grid = []
-    for xi1 in range(2, xi_max + 1):
-        n1 = n_tr - xi1 * block
-        for xi2 in range(0, xi1):
-            grid.append((xi1, xi2, n1, xi2 * block))
-    return grid
+    # the pilots are the zero-step sizes from xi = 2 on
+    return [(xi1, xi2, n1, xi2 * block)
+            for xi1, n1 in zero_step_grid(n, n_te, block)[1:] for xi2 in range(xi1)]
+
+
+def _xi_max(n_tr: int, block: int) -> int:
+    # the largest xi of both grids: n_xi = n_tr - xi*block stays above block
+    return math.ceil(n_tr / block - 2)
 
 
 def onestep_ingredient(

@@ -136,8 +136,9 @@ def _analytic_columns(cfg: SweepConfig) -> list[tuple[float, float]]:
     """(analytic, monotonized_analytic) for each gamma of the grid, for the
     configured base and model; the monotonized column is one curve, the
     M = 1 monotonized base profile.  `analytic` is NaN where no target for
-    the procedure exists: bagged (M >= 2) zero- and one-step runs, whose
-    risk lies below the M = 1 profiles, and one-step with the mn1ls base."""
+    the procedure exists: bagged (M >= 2) zero- and one-step runs, which the
+    M = 1 profiles do not describe (bagging lowers the risk), and one-step
+    with the mn1ls base."""
     model, grid = cfg.model, cfg.gamma_grid
     if (cfg.base.kind, model.kind) == ("mn2ls", "dense"):
         kind, prior = ("onestep" if cfg.procedure == "one" else "mn2ls"), None
