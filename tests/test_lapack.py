@@ -174,7 +174,9 @@ class TestFailures:
     def test_missing_routine_propagates_through_the_sweep(self, monkeypatch, threads):
         # a numpy whose OpenBLAS lacks a routine fails at the first fit, naming
         # it; ImportError is not a candidate or cell failure, so it propagates
-        _lapack._routine.cache_clear()  # the real routines bind again after the test
+        # drop the bound routines so that the next fit looks the symbols up;
+        # the real ones bind again at the first call after the test
+        _lapack._routine.cache_clear()
         monkeypatch.setattr(_lapack, "_SYMBOL", "riskmono_missing_{}_64_")
         monkeypatch.setenv("RISKMONO_THREADS", threads)
         message = "riskmono_missing_dpotrf_64_ from numpy's bundled OpenBLAS; this numpy links LAPACK"
