@@ -23,8 +23,10 @@ alternates between pairs.  A checkout's output must be the same across its
 samples and across the environments of one command, and the same across
 checkouts unless --outputs-change records each checkout's SHA-256 instead.
 With two checkouts, `compare` gives per metric the number of pairs in which
-the second reads lower (ties count for neither) and whether its median lies
-within the first's quartiles.
+the second reads lower (ties count for neither), whether its median lies
+within the first's quartiles, and `gain`: whether the second is lower in at
+least nine tenths of the pairs and its median lower than the first's by more
+than the first's q3 - q1, the rule a claimed gain must meet.
 
     python3 scripts/bench_pairs.py --checkout parent=/path/to/parent \\
         --checkout change=. --cases import,profile_mn2ls --pairs 10 --out BENCH_x.json
@@ -172,13 +174,18 @@ def summarize(samples: list[float]) -> dict:
 
 def compare(first: dict[str, list], second: dict[str, list]) -> dict:
     """Per metric of two checkouts' paired samples: the pairs in which the second
-    reads lower, and whether its median (rounded) is within the first's quartiles."""
+    reads lower, whether its median (rounded) is within the first's quartiles,
+    and whether the second gains: lower in at least 9/10 of the pairs, with
+    its median below the first's by more than the first's q3 - q1."""
     result = {}
     for metric in (m for m in first if m in second):
         a, b = first[metric], second[metric]
         spread, median = summarize(a), summarize(b)["median"]
-        result[metric] = {"second_lower": sum(y < x for x, y in zip(a, b)), "pairs": len(a),
-                          "median_within_first_quartiles": spread["q1"] <= median <= spread["q3"]}
+        lower = sum(y < x for x, y in zip(a, b))
+        result[metric] = {"second_lower": lower, "pairs": len(a),
+                          "median_within_first_quartiles": spread["q1"] <= median <= spread["q3"],
+                          "gain": 10 * lower >= 9 * len(a)
+                          and spread["median"] - median > spread["q3"] - spread["q1"]}
     return result
 
 
@@ -241,6 +248,10 @@ def main() -> int:
     }
     if len(labels) == 2:
         report["compare"] = {name: compare(*(samples[name][label] for label in labels)) for name in names}
+        for name, metrics in report["compare"].items():
+            shown = ", ".join(f"{metric} {c['second_lower']}/{c['pairs']} lower{', gain' * c['gain']}"
+                              for metric, c in metrics.items())
+            print(f"{name} {labels[1]} against {labels[0]}: {shown}", file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -1,5 +1,6 @@
-# ctypes access to the OpenBLAS that numpy bundles: the SPD Cholesky factor
-# and solve, called without the GIL so that sweep workers overlap, and a pin
+# ctypes access to the OpenBLAS that numpy bundles: the SPD Cholesky factor,
+# its solve and the solve on a leading block of it (two triangular solves),
+# called without the GIL so that sweep workers overlap, and a pin
 # of that OpenBLAS to one thread while a pool runs.  numpy's `_umath_linalg`
 # links it, and a handle to that extension resolves its exported symbols:
 # the ILP64 LAPACK routines under numpy's `scipy_` prefix and `64_` suffix,
@@ -29,10 +30,13 @@ _SYMBOL = "scipy_{}_64_"  # the name numpy's OpenBLAS exports a LAPACK routine u
 
 _int = ctypes.POINTER(ctypes.c_int64)
 _array = ctypes.c_void_p
-# dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+# dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info);
+# dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
 _ARGTYPES = {
     "dpotrf": (ctypes.c_char_p, _int, _array, _int, _int),
     "dpotrs": (ctypes.c_char_p, _int, _int, _array, _int, _array, _int, _int),
+    "dtrtrs": (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _int, _int, _array, _int,
+               _array, _int, _int),
 }
 
 
@@ -67,13 +71,18 @@ def _check(info: ctypes.c_int64, routine: str) -> None:
         raise LapackArgumentError(f"illegal value in argument {-info.value} of {routine}")
 
 
-def cho_factor(A: np.ndarray) -> np.ndarray:
+def cho_factor(A: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Upper Cholesky factor U (U'U = A) of an SPD matrix, as
-    `scipy.linalg.cho_factor(A)[0]`, bit for bit: the upper triangle of a
-    Fortran-order copy of A is factored in place (only that triangle is
-    read), and the strict lower triangle keeps A's entries.  Raises
-    NotPositiveDefinite, a LinAlgError, when A is not positive definite."""
-    U = np.array(A, dtype=np.float64, order="F")
+    `scipy.linalg.cho_factor(A, overwrite_a=overwrite_a)[0]`, bit for bit:
+    the upper triangle of a Fortran-order float64 A is factored in place
+    (only that triangle is read), and the strict lower triangle keeps A's
+    entries.  That A is a copy unless overwrite_a is set and A is already a
+    writable Fortran-order float64 array, which is then overwritten and
+    returned.  Raises NotPositiveDefinite, a LinAlgError, when A is not
+    positive definite."""
+    U = np.array(A, dtype=np.float64, order="F", copy=None if overwrite_a else True)
+    if not U.flags.writeable:
+        U = np.array(U, order="F")
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     n, info = U.shape[0], ctypes.c_int64()
@@ -85,27 +94,47 @@ def cho_factor(A: np.ndarray) -> np.ndarray:
     return U
 
 
-def cho_solve(U: np.ndarray, B: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Solution X of U'U X = B for the factor U from `cho_factor`, as
-    `scipy.linalg.cho_solve((U, False), B)`, bit for bit; B is a vector or a
-    matrix of right-hand sides and is not modified.  With k, the solve uses
-    the leading k x k block of U in place (one dpotrs call with U's leading
-    dimension), and B has k rows."""
+def _factor_and_rhs(U, B, k):
+    # U as Fortran-order float64 and a Fortran-order copy X of B, checked for
+    # a solve on U's leading k x k block
     U = np.asfortranarray(U, dtype=np.float64)
     X = np.array(B, dtype=np.float64, order="F")
-    n = U.shape[0]
-    if U.ndim != 2 or U.shape[1] != n:
+    if U.ndim != 2 or U.shape[1] != U.shape[0]:
         raise ValueError(f"expected a square factor, got shape {U.shape}")
-    if k is None:
-        k = n
-    elif not 0 <= k <= n:
-        raise ValueError(f"k = {k} is outside 0..{n}")
+    if not 0 <= k <= U.shape[0]:
+        raise ValueError(f"k = {k} is outside 0..{U.shape[0]}")
     if X.ndim not in (1, 2) or X.shape[0] != k:
         raise ValueError(f"incompatible shapes {U.shape} (k = {k}) and {X.shape}")
-    nrhs, info = 1 if X.ndim == 1 else X.shape[1], ctypes.c_int64()
-    _routine("dpotrs")(b"U", ctypes.c_int64(k), ctypes.c_int64(nrhs), U.ctypes.data,
-                       ctypes.c_int64(max(1, n)), X.ctypes.data, ctypes.c_int64(max(1, k)), info)
+    return U, X, ctypes.c_int64(1 if X.ndim == 1 else X.shape[1])
+
+
+def cho_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solution X of U'U X = B for the factor U from `cho_factor`, as
+    `scipy.linalg.cho_solve((U, False), B)`, bit for bit; B is a vector or a
+    matrix of right-hand sides and is not modified."""
+    n = np.shape(U)[0]
+    U, X, nrhs = _factor_and_rhs(U, B, n)
+    info, order = ctypes.c_int64(), ctypes.c_int64(max(1, n))
+    _routine("dpotrs")(b"U", ctypes.c_int64(n), nrhs, U.ctypes.data, order, X.ctypes.data, order, info)
     _check(info, "dpotrs")
+    return X
+
+
+def solve_leading(U: np.ndarray, B: np.ndarray, k: int) -> np.ndarray:
+    """Solution X of U_k'U_k X = B, U_k the leading k x k block of the upper
+    factor U from `cho_factor`, by two dtrtrs calls on that block in place
+    (U_k' Z = B, then U_k X = Z, with U's leading dimension); B has k rows
+    and is not modified.  Fits on leading rows of one order share U this
+    way, and the two triangular solves cost less than one dpotrs on a
+    leading block.  Raises LinAlgError when U_k has a zero diagonal entry."""
+    U, X, nrhs = _factor_and_rhs(U, B, k)
+    n, ldb = ctypes.c_int64(k), ctypes.c_int64(max(1, k))
+    lda, info = ctypes.c_int64(max(1, U.shape[0])), ctypes.c_int64()
+    for trans in (b"T", b"N"):
+        _routine("dtrtrs")(b"U", trans, b"N", n, nrhs, U.ctypes.data, lda, X.ctypes.data, ldb, info)
+        _check(info, "dtrtrs")
+        if info.value > 0:
+            raise LinAlgError(f"the factor is singular: diagonal entry {info.value} is zero")
     return X
 
 

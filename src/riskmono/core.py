@@ -94,8 +94,9 @@ class Dataset:
         and kept.  Order None stands for all rows in their own order, and U
         factors row_gram() itself.  For every k <= m the leading k x k block
         of U factors the gram of order[:k], so fits on leading rows of one
-        order share U.  When the factorization fails at pivot i, U is the
-        leading (i - 1) x (i - 1) block that it completed."""
+        order share U; callers pass an order cut to the rows their fits
+        read, so that m covers no more.  When the factorization fails at
+        pivot i, U is the leading (i - 1) x (i - 1) block that it completed."""
         if order is not None:
             order = np.asarray(order, dtype=np.intp)
 
@@ -103,9 +104,11 @@ class Dataset:
             gram = self.row_gram()
             if order is not None:
                 head = order[: self.p - 1]
-                gram = gram[np.ix_(head, head)]
+                # a fresh symmetric array, so its transpose is a Fortran-order
+                # copy of the block that dpotrf can factor in place
+                gram = gram.take(head, axis=0).take(head, axis=1).T
             try:
-                U = _lapack.cho_factor(gram)
+                U = _lapack.cho_factor(gram, overwrite_a=order is not None)
             except _lapack.NotPositiveDefinite as exc:
                 U = exc.leading
             U.setflags(write=False)

@@ -123,22 +123,37 @@ def onestep_ingredient(
     """Base fit on rows idx1[:n1] plus an MN2LS fit to its residuals on rows
     idx2[:n2] (all of either when None), both `BaseProcedure.row_fit`s on
     `train`.  No rows in idx2[:n2] means no adjustment and returns the base
-    fit.  With an mn2ls pilot on fewer rows than columns, the pilot is
-    weights w1 over the training rows, its residual is y2 - row_gram()[idx2]
-    w1, and the adjustment's weights w2 add to w1; no p-wide product is
-    formed.  A pilot with a primal part (any other base, or mn2ls on rows
-    that reject the shared factor or number at least p) leaves the residual
-    y2 - X2 beta1.  `.predictor(train)` forms the coefficients."""
+    fit.  The pilot's residual is formed once over all of idx2 and kept on
+    `train`, keyed on the pilot's own key and idx2, so every adjustment of
+    one pilot takes the first n2 entries of one residual.  With an mn2ls
+    pilot on fewer rows than columns, the pilot is weights w1 over the
+    training rows, its residual is y2 - row_gram()[idx2] w1, and the
+    adjustment's weights w2 add to w1; no p-wide product is formed.  A pilot
+    with a primal part (any other base, or mn2ls on rows that reject the
+    shared factor or number at least p) leaves the residual y2 - X2 beta1.
+    `.predictor(train)` forms the coefficients."""
     pilot = base.row_fit(train, idx1, k=n1)
-    rows2 = np.asarray(idx2, dtype=np.intp)[:n2]
-    if rows2.size == 0:
+    rows2 = np.asarray(idx2, dtype=np.intp)
+    if rows2[:n2].size == 0:
         return pilot
-    resid = train.response[rows2] - pilot.fitted(train, rows2)
-    return pilot + BaseProcedure.mn2ls().row_fit(train, idx2, response=resid, k=n2)
+
+    def residual():
+        resid = train.response[rows2] - pilot.fitted(train, rows2)
+        resid.setflags(write=False)
+        return resid
+
+    resid = train.memo(("residual", base.fit_key(idx1, n1), rows2.tobytes()), residual)
+    return pilot + BaseProcedure.mn2ls().row_fit(train, rows2, response=resid[:n2], k=n2)
 
 
 def bagged_ingredient(
-    base: BaseProcedure, train: Dataset, n1: int, M: int, seed: int, n2: int = 0
+    base: BaseProcedure,
+    train: Dataset,
+    n1: int,
+    M: int,
+    seed: int,
+    n2: int = 0,
+    cut: tuple[int | None, int | None] = (None, None),
 ) -> RowFit:
     """Average over bag draws j < M of the one-step ingredient with pilot
     rows order[:n1] and adjustment rows order[::-1][:n2], where
@@ -149,40 +164,49 @@ def bagged_ingredient(
     drawn once per `train` and kept on it.  Within one draw the row sets of
     all sizes are nested, so every mn2ls fit on fewer rows than columns
     solves on one of two Cholesky factors per draw, kept on `train`: that of
-    `order` and that of its reverse.  The draws average in row-space form
-    (weights over the training rows plus a primal part), before any
+    `order` and that of its reverse.  cut = (head, tail) cuts them to
+    order[:head] and order[::-1][:tail] (None keeps all), the rows the
+    caller's fits read, and so sizes the factors and the pilots' kept
+    residuals; n1 <= head and n2 <= tail.  The draws average in row-space
+    form (weights over the training rows plus a primal part), before any
     coefficients are formed; `.predictor(train)` forms them, as X' w + primal.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    head, tail = cut
     fits = []
     for j in range(M):
         order = train.memo(("row_order", seed, j), lambda: row_order(train.n, seed, j))
-        fits.append(onestep_ingredient(base, train, order, order[::-1], n1, n2))
+        fits.append(onestep_ingredient(base, train, order[:head], order[::-1][:tail], n1, n2))
     # valid for linear predictors: averaging coefficients == averaging predictions
     return RowFit.mean(fits)
 
 
-def _candidate(base, cfg, n1, n2=0):
+def _candidate(base, cfg, n1, n2, cut):
     """Candidate fit train -> RowFit: `bagged_ingredient` on the M row orders
-    of cfg.seed, so all candidates of a training split share them, kept in
-    row-space form; `cross_validate` forms the coefficients of all
-    candidates of the split in one product.  With n2 = 0 it is zero-step
+    of cfg.seed, cut to `cut`, so all candidates of a training split share
+    them, kept in row-space form; `cross_validate` forms the coefficients of
+    all candidates of the split in one product.  With n2 = 0 it is zero-step
     candidate n1, and one-step's (xi1, 0) rows are these same row fits, bit
-    for bit (their coefficients come from each procedure's own product, so
-    they can differ in the last bits).  Each candidate alone keeps the law
-    of independent draws: its pilot rows are a uniform n1-subset and its
-    adjustment rows a uniform n2-subset of their complement; only the joint
-    law across candidates is nested."""
-    return lambda train: bagged_ingredient(base, train, n1, cfg.M, cfg.seed, n2)
+    for bit, given the same cut (their coefficients come from each
+    procedure's own product, so they can differ in the last bits).  Each
+    candidate alone keeps the law of independent draws: its pilot rows are
+    a uniform n1-subset and its adjustment rows a uniform n2-subset of their
+    complement; only the joint law across candidates is nested."""
+    return lambda train: bagged_ingredient(base, train, n1, cfg.M, cfg.seed, n2, cut)
 
 
 def _select(data: Dataset, cfg: MonotonizeConfig, candidates):
-    """Cross-validated selection over candidates(n_te, block), a dict
+    """Cross-validated selection over candidates(n_te, block, cut), a dict
     index -> (train -> RowFit), plus the null predictor when configured.
-    Every candidate fits on rows of the one training split."""
-    n_te = cfg.resolve_n_te(data.n)
-    fits = candidates(n_te, cfg.resolve_block(data.n))
+    Every candidate fits on rows of the one training split, and `cut` holds
+    the leading rows of each row order and of its reverse that the grids
+    read: pilots and zero-step candidates take at most n_tr - block rows
+    (xi = 1), adjustments at most (xi_max - 1) * block.  Both procedures
+    cut alike, so one-step's (xi1, 0) rows solve on zero-step's factors."""
+    n_te, block = cfg.resolve_n_te(data.n), cfg.resolve_block(data.n)
+    n_tr = data.n - n_te
+    fits = candidates(n_te, block, (n_tr - block, (_xi_max(n_tr, block) - 1) * block))
     if cfg.include_null:
         fits[NULL_INDEX] = BaseProcedure.null().row_fit
     return cross_validate(CandidateFamily(tuple(fits), fits.__getitem__), data, n_te, cfg.cen,
@@ -194,8 +218,8 @@ def zero_step(
 ) -> tuple[RiskTable, LinearPredictor]:
     """Cross-validated selection over bagged subsample sizes (plus the null
     predictor when configured)."""
-    return _select(data, cfg, lambda n_te, block: {
-        xi: _candidate(base, cfg, k) for xi, k in zero_step_grid(data.n, n_te, block)
+    return _select(data, cfg, lambda n_te, block, cut: {
+        xi: _candidate(base, cfg, k, 0, cut) for xi, k in zero_step_grid(data.n, n_te, block)
     })
 
 
@@ -205,7 +229,7 @@ def one_step(
     """Cross-validated selection over disjoint split pairs with the MN2LS
     residual adjustment.  The (xi1, 0) rows carry no adjustment: they are the
     zero-step candidates xi1 themselves."""
-    return _select(data, cfg, lambda n_te, block: {
-        (xi1, xi2): _candidate(base, cfg, n1, n2)
+    return _select(data, cfg, lambda n_te, block, cut: {
+        (xi1, xi2): _candidate(base, cfg, n1, n2, cut)
         for xi1, xi2, n1, n2 in one_step_grid(data.n, n_te, block)
     })

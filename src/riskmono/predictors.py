@@ -68,14 +68,15 @@ def _mn2ls_cholesky(U: np.ndarray | None, b: np.ndarray, k: int):
     (near-)rank-deficient, and when x is not finite.  A rank-deficient gram
     solve can satisfy the normal equations without being min-norm, so the
     guard is on conditioning, not on the residual: the spread of diag(U_k)
-    approximates sqrt(cond) of U_k'U_k.  The solve releases the GIL, so
+    approximates sqrt(cond) of U_k'U_k.  The solve is two triangular solves
+    on U_k in place (`_lapack.solve_leading`), which release the GIL, so
     sweep workers overlap."""
     if U is None:
         return None
     d = np.abs(np.diag(U)[:k])
     if d.size != k or not d.min() > CHOL_DIAG_RATIO * d.max():
         return None
-    x = _lapack.cho_solve(U, b, k)
+    x = _lapack.solve_leading(U, b, k)
     return x if np.all(np.isfinite(x)) else None
 
 
@@ -340,8 +341,12 @@ class BaseProcedure:
         zero-step-sized candidate."""
         if rows is None or response is not None:
             return self._row_fit(data, rows, response, k)
-        key = (self, np.asarray(rows, dtype=np.intp).tobytes(), k)
-        return data.memo(key, lambda: self._row_fit(data, rows, None, k))
+        return data.memo(self.fit_key(rows, k), lambda: self._row_fit(data, rows, None, k))
+
+    def fit_key(self, rows, k) -> tuple:
+        """The key `row_fit` keeps its fit on the first `k` of `rows`, with
+        their own responses, under."""
+        return (self, np.asarray(rows, dtype=np.intp).tobytes(), k)
 
     def _row_fit(self, data, rows, response, k) -> RowFit:
         idx = None if rows is None else np.asarray(rows, dtype=np.intp)[:k]

@@ -190,14 +190,16 @@ def run_sweep(cfg: SweepConfig) -> CurveTable:
         # the workers are the parallelism; OpenBLAS threads on top of them
         # would oversubscribe the CPUs
         with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_task, tasks))
+            running = pool.map(run_task, tasks)
+            # the calling thread would only wait for the pool meanwhile
+            columns = _analytic_columns(cfg)
+            outcomes = list(running)
     else:
+        columns = _analytic_columns(cfg)
         outcomes = [run_task(task) for task in tasks]
 
     rows = []
-    for gi, (gamma, p, (analytic, monotonized)) in enumerate(
-        zip(cfg.gamma_grid, ps, _analytic_columns(cfg))
-    ):
+    for gi, (gamma, p, (analytic, monotonized)) in enumerate(zip(cfg.gamma_grid, ps, columns)):
         cell = outcomes[gi * cfg.reps : (gi + 1) * cfg.reps]
         reasons = [f"{type(o).__name__}: {o}" for o in cell if isinstance(o, Exception)]
         done = [o for o in cell if not isinstance(o, Exception)]

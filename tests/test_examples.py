@@ -59,6 +59,18 @@ def test_bench_pairs_rejects_unequal_outputs():
         bench.same_outputs({"sweep": {"a": {"z"}, "b": {"z", "w"}}}, outputs_change=True)
 
 
+def test_bench_pairs_gain_verdict():
+    # a gain: the second lower in at least 9 of 10 pairs, and its median below
+    # the first's by more than the first's q3 - q1
+    bench = _load_script("bench_pairs")
+    first = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 0.055
+    verdict = lambda second: bench.compare({"cpu_s": first}, {"cpu_s": second})["cpu_s"]["gain"]
+    assert verdict([x - 0.06 for x in first])
+    assert not verdict([x - 0.05 for x in first])  # within the first's spread
+    nine = [x - 0.2 for x in first[:9]] + [first[9] + 1.0]
+    assert verdict(nine) and not verdict(nine[:8] + [first[8] + 1.0, nine[9]])
+
+
 def test_profile_curves_writes_its_csv(tmp_path):
     out = tmp_path / "profiles.csv"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -68,9 +68,28 @@ class TestBitIdentity:
         rng = np.random.default_rng(n)
         for k in sorted({0, 1, n // 2, n - 1, n}):
             B = rng.standard_normal((k, nrhs) if nrhs > 1 else k)
-            got = _lapack.cho_solve(U, B, k)
-            want = _lapack.cho_solve(np.array(U[:k, :k], order="F"), B)
+            got = _lapack.solve_leading(U, B, k)
+            want = _lapack.solve_leading(np.array(U[:k, :k], order="F"), B, k)
             assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 30, 150, 400])
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    def test_leading_block_solve_is_two_triangular_solves(self, k, nrhs):
+        # U_k' z = b, then U_k x = z, on the leading block of a 400-row
+        # factor: in place, with leading dimension 400 where k < 400
+        U = _lapack.cho_factor(spd(400, 7))
+        B = np.random.default_rng(k).standard_normal((k, nrhs) if nrhs > 1 else k)
+        B_before = B.copy()
+        got = _lapack.solve_leading(U, B, k)
+        block = U[:k, :k]
+        z = scipy.linalg.solve_triangular(block, B, trans="T", check_finite=False)
+        want = scipy.linalg.solve_triangular(block, z, check_finite=False)
+        assert got.shape == want.shape and np.array_equal(B, B_before)
+        # scipy's own OpenBLAS can round a triangular solve differently from
+        # numpy's, so the two agree to the forward error bound of the solves
+        # in double precision: k eps cond(U_k'U_k) relative, in norm
+        bound = k * np.finfo(float).eps * np.linalg.cond(block) ** 2
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_memory_order_of_the_input_does_not_matter(self, order):
@@ -78,6 +97,31 @@ class TestBitIdentity:
         U = _lapack.cho_factor(A)
         assert U.flags.f_contiguous
         assert np.array_equal(U, scipy.linalg.cho_factor(A, check_finite=False)[0])
+
+    def test_overwrite_a_factors_a_fortran_array_in_place(self):
+        A = np.asfortranarray(spd(50, 4))
+        want = scipy.linalg.cho_factor(A.copy(order="F"), check_finite=False)[0]
+        U = _lapack.cho_factor(A, overwrite_a=True)
+        assert U is A and np.array_equal(U, want)
+        # anything else is copied: a C-order array, and a read-only one
+        for B in (spd(50, 4), np.asfortranarray(spd(50, 4))):
+            B.setflags(write=B.flags.c_contiguous)
+            before = B.copy()
+            U = _lapack.cho_factor(B, overwrite_a=True)
+            assert U is not B and np.array_equal(B, before) and np.array_equal(U, want)
+
+    @pytest.mark.parametrize("p", [30, 90])
+    def test_order_factor_is_the_factor_of_the_gathered_gram(self, p):
+        # the block gathered by `take` and factored in place has the bits of
+        # scipy's factor of the np.ix_ gather, strict lower triangle included
+        rng = np.random.default_rng(p)
+        data = Dataset(rng.standard_normal((60, p)), rng.standard_normal(60))
+        order = rng.permutation(60)[:45]
+        head = order[: p - 1]
+        gram = data.row_gram()[np.ix_(head, head)]
+        want = scipy.linalg.cho_factor(gram, check_finite=False)[0]
+        U = data.order_factor(order)
+        assert U.shape == want.shape and U.tobytes(order="A") == want.tobytes(order="A")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_homotopy_gram_built_column_by_column(self, seed):
@@ -141,10 +185,35 @@ class TestFailures:
         with pytest.raises(ValueError, match="incompatible"):
             _lapack.cho_solve(np.eye(3), np.ones(4))
         with pytest.raises(ValueError, match="incompatible"):
-            _lapack.cho_solve(np.eye(3), np.ones(3), k=2)
+            _lapack.solve_leading(np.eye(3), np.ones(3), 2)
+        with pytest.raises(ValueError, match="incompatible"):
+            _lapack.solve_leading(np.eye(3), np.ones((2, 2, 1)), 2)
+        with pytest.raises(ValueError, match="square"):
+            _lapack.solve_leading(np.ones((3, 2)), np.ones(2), 2)
         for k in (-1, 4):
             with pytest.raises(ValueError, match="outside 0..3"):
-                _lapack.cho_solve(np.eye(3), np.ones(3), k=k)
+                _lapack.solve_leading(np.eye(3), np.ones(3), k)
+
+    def test_leading_block_with_a_zero_diagonal_entry_is_singular(self):
+        U = np.triu(np.ones((4, 4)))
+        U[2, 2] = 0.0
+        np.testing.assert_array_equal(_lapack.solve_leading(U, np.ones(2), 2), [1.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal entry 3 is zero"):
+            _lapack.solve_leading(U, np.ones(3), 3)
+
+    def test_leading_block_solve_reports_an_illegal_argument(self, monkeypatch):
+        def bad_trtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info):
+            info.value = -7
+
+        routine = _lapack._routine
+        monkeypatch.setattr(_lapack, "_routine",
+                            lambda name: bad_trtrs if name == "dtrtrs" else routine(name))
+        with pytest.raises(_lapack.LapackArgumentError, match="argument 7 of dtrtrs"):
+            _lapack.solve_leading(np.eye(3), np.ones(2), 2)
+        # the fit does not take it for a failed solve
+        rng = np.random.default_rng(1)
+        with pytest.raises(_lapack.LapackArgumentError):
+            fit_mn2ls(Dataset(rng.standard_normal((5, 9)), rng.standard_normal(5)))
 
     def test_illegal_argument_is_not_a_numerical_failure(self):
         # LAPACK's info < 0 is a programming error: cross-validation and the

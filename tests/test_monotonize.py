@@ -225,20 +225,22 @@ def _cv_train(data, cfg):
     return train
 
 
-def _bagged_by_hand(base, train, n1, n2, M, seed):
+def _bagged_by_hand(base, train, n1, n2, M, seed, tail):
     # bag draw j of every candidate: order = row_order(train.n, seed, j); the
-    # pilot is base.fit on order[:n1], a primal part, and for n2 > 0 the
-    # ridgeless residual fit is mn2ls's own route on order[::-1][:n2], which
-    # gives weights over the training rows (fewer rows than columns) or a
-    # primal part.  The draws average part-wise, into weights and a primal part
+    # pilot is base.fit on order[:n1], a primal part.  For n2 > 0 its
+    # residual is formed on the reverse order cut to the longest adjustment,
+    # tail rows, and the ridgeless residual fit is mn2ls's own route on
+    # order[::-1][:n2] with the first n2 entries of it, which gives weights
+    # over the training rows (fewer rows than columns) or a primal part.  The
+    # draws average part-wise, into weights and a primal part
     primals, weights = [], []
     for j in range(M):
         order = row_order(train.n, seed, j)
         pilot, w = base.fit(train.rows(order[:n1])).coefficients, None
         if n2 > 0:
-            idx2 = order[::-1][:n2]
-            resid = train.response[idx2] - train.features[idx2] @ pilot
-            adjust = BaseProcedure.mn2ls().row_fit(train, order[::-1], response=resid, k=n2)
+            rows2 = order[::-1][:tail]
+            resid = (train.response[rows2] - train.features[rows2] @ pilot)[:n2]
+            adjust = BaseProcedure.mn2ls().row_fit(train, rows2, response=resid, k=n2)
             if adjust.weights is None:
                 pilot = pilot + adjust.primal
             w = adjust.weights
@@ -253,8 +255,9 @@ def _bagged_by_hand(base, train, n1, n2, M, seed):
 def _assert_built_by_hand(table, train, sizes, base, M, seed):
     # the hand-built fits in family order, null row included, formed by the
     # one product that cross_validate forms the candidates' coefficients with
+    tail = max(n2 for _, n2 in sizes.values())
     fits = [RowFit(primal=np.zeros(train.p)) if row.index == NULL_INDEX
-            else _bagged_by_hand(base, train, *sizes[row.index], M, seed)
+            else _bagged_by_hand(base, train, *sizes[row.index], M, seed, tail)
             for row in table.rows]
     for row, want in zip(table.rows, RowFit.stack(fits, train)):
         np.testing.assert_array_equal(row.predictor.coefficients, want)
@@ -344,7 +347,7 @@ class TestSharedFactor:
         cho_factor, cholesky = _lapack.cho_factor, predictors._mn2ls_cholesky
         order_factor = Dataset.order_factor
         monkeypatch.setattr(
-            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+            _lapack, "cho_factor", lambda A, **kw: factored.append(A.shape) or cho_factor(A, **kw)
         )
 
         def recorded_factor(split, order):
@@ -376,10 +379,13 @@ class TestSharedFactor:
                 want = _lstsq_by_hand(train, *sizes[row.index], M, cfg.seed)
                 np.testing.assert_allclose(row.predictor.coefficients, want, rtol=0, atol=1e-9)
 
-        # one factor per row order: order_j for pilots, its reverse for the
-        # adjustments, each of the leading min(n_tr, p - 1) = n_tr rows
-        n_orders = M * (2 if proc is one_step else 1)
-        assert factored == [(train.n, train.n)] * n_orders
+        # one factor per row order, of the rows the grids read: order_j cut
+        # to zero-step's largest candidate, n_tr - block rows, for the pilots,
+        # then its reverse cut to the longest adjustment for the adjustments
+        head, tail = train.n - cfg.block, max(n2 for _, n2 in sizes.values())
+        assert head < data.p - 1 and tail < head
+        want = [(head, head)] * M + ([(tail, tail)] * M if proc is one_step else [])
+        assert factored == want
         # one fit per distinct pilot size and per adjustment, in each draw:
         # the pilot of (xi1, xi2) is the kept fit of (xi1, 0)
         pilots = {n1 for n1, _ in sizes.values()}
@@ -456,3 +462,22 @@ class TestRowSpace:
         )
         proc(data, BaseProcedure.mn2ls(), cfg)
         assert drawn == [(data.n - cfg.n_te, cfg.seed, j) for j in range(M)]
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize(
+        "base", (BaseProcedure.mn2ls(), BaseProcedure.ridge(0.3)), ids=lambda b: b.kind
+    )
+    def test_one_residual_per_pilot_and_draw(self, rng, monkeypatch, base, M):
+        # every adjustment of one pilot takes the leading entries of the one
+        # residual kept for that pilot in that draw
+        data, _ = random_dataset(rng, 70, 90)
+        cfg = MonotonizeConfig(M=M, block=10, n_te=14, seed=26)
+        calls = []
+        fitted = RowFit.fitted
+        monkeypatch.setattr(
+            RowFit, "fitted", lambda self, d, rows: calls.append(len(rows)) or fitted(self, d, rows)
+        )
+        one_step(data, base, cfg)
+        grid = one_step_grid(data.n, cfg.n_te, cfg.block)
+        pilots = {n1 for _, _, n1, _ in grid}
+        assert calls == [max(n2 for *_, n2 in grid)] * (M * len(pilots))

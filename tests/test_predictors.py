@@ -369,7 +369,7 @@ class TestFitRows:
         factored = []
         cho_factor = _lapack.cho_factor
         monkeypatch.setattr(
-            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+            _lapack, "cho_factor", lambda A, **kw: factored.append(A.shape) or cho_factor(A, **kw)
         )
         first = fit_mn2ls(data).coefficients
         assert factored == [(30, 30)]
@@ -384,7 +384,7 @@ class TestFitRows:
         factored, solved = [], []
         cho_factor, lstsq = _lapack.cho_factor, np.linalg.lstsq
         monkeypatch.setattr(
-            _lapack, "cho_factor", lambda A: factored.append(A.shape) or cho_factor(A)
+            _lapack, "cho_factor", lambda A, **kw: factored.append(A.shape) or cho_factor(A, **kw)
         )
         monkeypatch.setattr(
             np.linalg, "lstsq", lambda *a, **k: solved.append(a[0].shape) or lstsq(*a, **k)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from riskmono import (
     MonotonizeConfig,
     SweepConfig,
     run_sweep,
+    sweep,
 )
 from riskmono.profiles import mn1ls_profile
 from riskmono.sweep import CSV_COLUMNS, worker_count
@@ -152,6 +154,27 @@ class TestRunSweep:
         monkeypatch.setenv("RISKMONO_THREADS", "4")
         par = run_sweep(cfg).rows
         assert seq == par
+
+    def test_analytic_columns_run_while_the_pool_runs(self, monkeypatch):
+        # each cell waits for the analytic columns to start; when they start
+        # only after the pool, every wait times out
+        started, waited = threading.Event(), []
+        replication, columns = sweep._replication, sweep._analytic_columns
+
+        def cell(*args):
+            waited.append(started.wait(timeout=5))
+            return replication(*args)
+
+        def analytic(cfg):
+            started.set()
+            return columns(cfg)
+
+        monkeypatch.setattr(sweep, "_replication", cell)
+        monkeypatch.setattr(sweep, "_analytic_columns", analytic)
+        monkeypatch.setenv("RISKMONO_THREADS", "2")
+        rows = run_sweep(small_cfg(reps=2)).rows
+        assert len(waited) == 4 and all(waited)
+        assert [row["n_fail"] for row in rows] == [0, 0]
 
     @pytest.mark.parametrize("value,want", [("3", 3), (" 1 ", 1), ("", os.cpu_count() or 1)])
     def test_worker_count_reads_the_environment(self, monkeypatch, value, want):
